@@ -22,12 +22,13 @@ test-differential:
 
 # Columnar backend: encoding round-trip properties, columnar == row
 # engine equivalence (cells, provenance, assured sets), permutation
-# invariance, chunked kill-and-resume, and the cross-backend
-# differential matrix incl. the streaming leg.  Run it twice in CI —
-# plain and with REPRO_NO_NUMPY=1 — to cover both code paths.
+# invariance, the cross-backend differential matrix incl. the
+# streaming leg, and the chunked file driver with both chunk routes
+# (quarantine parity, kill-and-resume).  Run it twice in CI — plain
+# and with REPRO_NO_NUMPY=1 — to cover both code paths.
 test-columnar:
 	$(PY) -m pytest tests/test_columnar.py \
-	    tests/test_differential_repair.py
+	    tests/test_differential_repair.py tests/test_parallel.py
 
 # The repair-as-a-service daemon end to end: HTTP contract, hot-reload
 # with rollback, the mid-stream-reload equivalence property, and the

@@ -35,8 +35,11 @@ import os
 import sys
 from typing import List, Optional
 
-from .core import (find_conflicts, format_ruleset, load_ruleset,
-                   repair_table, save_ruleset)
+# repair_table is not called here, but perfbench/trace.py wraps it
+# (with read_csv, write_csv, load_ruleset, find_conflicts) by name on
+# this module, so it stays importable from repro.cli
+from .core import (COLUMNAR_AUTO_THRESHOLD, find_conflicts, format_ruleset,
+                   load_ruleset, repair_table, save_ruleset)
 from .datagen import (constraint_attributes, generate_hosp, generate_uis,
                       hosp_fds, inject_noise, uis_fds)
 from .dependencies import parse_fd
@@ -44,11 +47,6 @@ from .errors import ReproError
 from .evaluation import evaluate_repair, run_experiment
 from .relational import read_csv, write_csv
 from .rulegen import generate_rules
-
-
-def _default_columnar_threshold() -> int:
-    from .core import COLUMNAR_AUTO_THRESHOLD
-    return COLUMNAR_AUTO_THRESHOLD
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -73,79 +71,46 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_repair(args: argparse.Namespace) -> int:
-    rules = load_ruleset(args.rules)
-    from .core import columnar_auto_threshold
-    try:
-        # Validates the flag — or, with no flag, whatever
-        # REPRO_COLUMNAR_THRESHOLD says — before any work happens.
-        columnar_auto_threshold(args.columnar_threshold)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    if args.chunk_size is not None and args.chunk_size < 1:
-        print("error: --chunk-size must be >= 1, got %d" % args.chunk_size,
-              file=sys.stderr)
-        return 2
-    if args.columnar_threshold is not None:
-        # The streaming machinery resolves the threshold at its own
-        # routing points; the env var is the one channel that reaches
-        # all of them.
-        os.environ["REPRO_COLUMNAR_THRESHOLD"] = \
-            str(args.columnar_threshold)
-    streaming = (args.stream or args.on_error != "strict"
-                 or args.quarantine_path is not None
-                 or args.checkpoint is not None or args.resume
-                 or args.on_inconsistent == "degrade"
-                 or args.fail_on_quarantine)
-    if streaming:
-        if args.algorithm == "chase":
-            print("warning: the streaming path always runs the "
-                  "fast (lRepair) engine; --algorithm chase is only "
-                  "honored by the plain serial path", file=sys.stderr)
-        return _streaming_repair(args, rules)
-    if args.algorithm == "chase" and args.backend == "columnar":
-        print("error: --backend columnar requires --algorithm fast",
-              file=sys.stderr)
-        return 2
-    table = read_csv(args.input, schema=rules.schema)
-    report = repair_table(table, rules, algorithm=args.algorithm,
-                          check_consistency=not args.skip_check,
-                          backend=args.backend,
-                          columnar_threshold=args.columnar_threshold)
-    write_csv(report.table, args.output)
-    print("repaired %d rows; %d cells updated; output written to %s"
-          % (len(report.table), report.total_applications, args.output))
-    if args.verbose:
-        for (row, attr) in report.changed_cells:
-            print("  row %d, %s -> %r" % (row, attr,
-                                          report.table[row][attr]))
-    return 0
+    """Chunked, constant-memory, crash-safe repair of a CSV file."""
+    import logging
 
-
-def _streaming_repair(args: argparse.Namespace, rules) -> int:
-    """The fault-tolerant constant-memory path behind ``repro repair``."""
     from .core import repair_csv_file
-    on_error = args.on_error
-    if args.quarantine_path is not None and on_error == "strict":
-        on_error = "quarantine"  # --quarantine-path implies the policy
+    rules = load_ruleset(args.rules)
+    for flag, value in (("--chunk-size", args.chunk_size),
+                        ("--checkpoint-interval", args.checkpoint_interval)):
+        if value is not None and value < 1:
+            print("error: %s must be >= 1, got %d" % (flag, value),
+                  file=sys.stderr)
+            return 2
     if args.resume and args.checkpoint is None:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return 2
-    if args.checkpoint_interval < 1:
-        print("error: --checkpoint-interval must be >= 1, got %d"
-              % args.checkpoint_interval, file=sys.stderr)
-        return 2
-    session = repair_csv_file(
-        args.input, rules, args.output,
-        check_consistency=not args.skip_check,
-        on_error=on_error,
-        quarantine_path=args.quarantine_path,
-        checkpoint_path=args.checkpoint,
-        checkpoint_interval=args.checkpoint_interval,
-        resume=args.resume,
-        on_inconsistent=args.on_inconsistent,
-        chunk_size=args.chunk_size,
-        backend=args.backend)
+    on_error = args.on_error
+    if args.quarantine_path is not None and on_error == "strict":
+        on_error = "quarantine"  # --quarantine-path implies the policy
+    fix_log = logging.getLogger("repro.core.stream")
+    saved_level = fix_log.level
+    if args.verbose:
+        # repair_csv_file logs each rewritten cell at DEBUG
+        handler = logging.StreamHandler(sys.stdout)
+        handler.setFormatter(logging.Formatter("  %(message)s"))
+        fix_log.addHandler(handler)
+        fix_log.setLevel(logging.DEBUG)
+    try:
+        session = repair_csv_file(
+            args.input, rules, args.output,
+            check_consistency=not args.skip_check,
+            on_error=on_error,
+            quarantine_path=args.quarantine_path,
+            checkpoint_path=args.checkpoint,
+            checkpoint_interval=args.checkpoint_interval,
+            resume=args.resume,
+            on_inconsistent=args.on_inconsistent,
+            chunk_size=args.chunk_size)
+    finally:
+        if args.verbose:
+            fix_log.removeHandler(handler)
+            fix_log.setLevel(saved_level)
     stats = session.stats()
     print("repaired %d rows; %d cells updated; output written to %s"
           % (stats["rows_seen"], stats["cells_changed"], args.output))
@@ -560,23 +525,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_repair.add_argument("input", help="dirty CSV file")
     p_repair.add_argument("rules", help="rule JSON file")
     p_repair.add_argument("output", help="repaired CSV destination")
-    p_repair.add_argument("--backend", choices=["auto", "row", "columnar"],
-                          default="auto",
-                          help="repair engine: 'row' chases tuples "
-                               "one at a time, 'columnar' dictionary-"
-                               "encodes the input and bulk-scans "
-                               "evidence patterns (identical output); "
-                               "'auto' picks columnar for large "
-                               "inputs")
-    p_repair.add_argument("--algorithm", choices=["fast", "chase"],
-                          default="fast")
     p_repair.add_argument("--skip-check", action="store_true",
                           help="skip the consistency pre-check")
-    p_repair.add_argument("--verbose", action="store_true")
-    p_repair.add_argument("--stream", action="store_true",
-                          help="constant-memory streaming repair "
-                               "(implied by the fault-tolerance flags "
-                               "below; always uses the fast algorithm)")
+    p_repair.add_argument("--verbose", action="store_true",
+                          help="print each rewritten cell with its "
+                               "input line number")
     p_repair.add_argument("--on-error",
                           choices=["strict", "skip", "quarantine"],
                           default="strict",
@@ -601,18 +554,14 @@ def build_parser() -> argparse.ArgumentParser:
                                "consistent subset of the rules instead "
                                "of refusing service")
     p_repair.add_argument("--chunk-size", type=int, default=None,
-                          help="rows per columnar chunk of the "
-                               "streaming path (default: min(1024, "
-                               "checkpoint interval))")
+                          help="rows per chunk (default %d, capped at "
+                               "the checkpoint interval with "
+                               "--checkpoint); chunks this size or "
+                               "larger take the columnar candidate scan"
+                               % COLUMNAR_AUTO_THRESHOLD)
     p_repair.add_argument("--fail-on-quarantine", action="store_true",
                           help="exit with status 3 if any row failed "
-                               "or was quarantined (implies --stream)")
-    p_repair.add_argument("--columnar-threshold", type=int, default=None,
-                          help="row count at which backend 'auto' "
-                               "switches to the columnar engine "
-                               "(>= 1; default %d, or the "
-                               "REPRO_COLUMNAR_THRESHOLD env var)"
-                               % _default_columnar_threshold())
+                               "or was quarantined")
     p_repair.set_defaults(func=_cmd_repair)
 
     p_delta = sub.add_parser(

@@ -37,7 +37,7 @@ from .consistency import (AssuranceHazard, CASE_B_I_IN_X_J, CASE_B_J_IN_X_I, CAS
                           find_assurance_hazards, find_conflicts,
                           find_conflicts_cached, is_consistent,
                           is_consistent_characterize,
-                          is_consistent_enumerate, seed_conflict_cache)
+                          is_consistent_enumerate)
 from .implication import implies, iter_small_model, minimize
 from .resolution import (DROP_CONFLICTING, SHRINK_NEGATIVES, ResolutionLog,
                          Revision, drop_conflicting, ensure_consistent)
@@ -60,7 +60,6 @@ from .instrumentation import (ENGINE_STATS, CountingRule, EngineStats,
                               MatchCounter, counting_rules, engine_stats,
                               reset_engine_stats)
 from .incremental import ConsistentRuleSet
-from .columnar import columnar_auto_threshold
 from .delta import (CorrectionLog, DeltaError, DeltaOutcome,
                     DeltaRepairSession, SessionSnapshot,
                     audit_correction_log, iter_log_records,
@@ -98,7 +97,6 @@ __all__ = [
     "enumerate_candidate_tuples",
     "find_conflicts",
     "find_conflicts_cached",
-    "seed_conflict_cache",
     "clear_conflict_cache",
     "blocked_candidate_pairs",
     "VALID_STRATEGIES",
@@ -128,7 +126,6 @@ __all__ = [
     "ColumnarKernel",
     "ColumnarRepairReport",
     "ColumnarTable",
-    "columnar_auto_threshold",
     "columnar_repair_table",
     "numpy_available",
     "CorrectionLog",

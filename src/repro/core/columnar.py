@@ -61,46 +61,15 @@ __all__ = [
     "ColumnarKernel",
     "ColumnarRepairReport",
     "ColumnarTable",
-    "columnar_auto_threshold",
     "columnar_repair_table",
     "numpy_available",
 ]
 
-#: Row count above which ``repair_table(backend="auto")`` switches the
-#: serial fast path to the columnar kernel.  Below it the fixed costs
-#: (column encode, group key build) eat the per-row win.
+#: Row count from which ``repair_table(backend="auto")`` and each
+#: chunk of ``repair_csv_file`` switch to the columnar kernel.  Below
+#: it the fixed costs (column encode, group key build) eat the per-row
+#: win.
 COLUMNAR_AUTO_THRESHOLD = 4096
-
-
-def columnar_auto_threshold(override: Optional[int] = None) -> int:
-    """Resolve the auto-routing row threshold, with validation.
-
-    Precedence: explicit *override* (``repair_table``'s
-    ``columnar_threshold=`` / the CLI ``--columnar-threshold`` flag),
-    then the ``REPRO_COLUMNAR_THRESHOLD`` environment variable, then
-    the built-in :data:`COLUMNAR_AUTO_THRESHOLD`.  The threshold must
-    be an integer >= 1; anything else raises :class:`ValueError`
-    naming the offending source, so a typo in deployment config fails
-    loudly instead of silently pinning a backend.
-    """
-    if override is not None:
-        return _validated_threshold(override, "columnar_threshold")
-    raw = os.environ.get("REPRO_COLUMNAR_THRESHOLD")
-    if raw is None or raw == "":
-        return COLUMNAR_AUTO_THRESHOLD
-    return _validated_threshold(raw, "REPRO_COLUMNAR_THRESHOLD")
-
-
-def _validated_threshold(value, source: str) -> int:
-    try:
-        threshold = int(value)
-    except (TypeError, ValueError):
-        raise ValueError("%s must be an integer >= 1, got %r"
-                         % (source, value))
-    if threshold < 1:
-        raise ValueError("%s must be an integer >= 1, got %r"
-                         % (source, value))
-    return threshold
 
 #: Mixed-radix keys use int64; groups whose dictionary-size product
 #: exceeds this fall back to per-pattern equality masks.
@@ -154,27 +123,24 @@ class ColumnarTable:
     must be ``str`` (the invariant :class:`~repro.relational.Row`
     already enforces).
 
-    Columns built from rows encode *lazily*: a column pays the
-    sort-and-intern cost only when something asks for its codes
-    (the kernel asks for Σ's evidence/target columns; the buffer
-    codec asks for all of them).  Tables decoded from a buffer carry
-    eager codes and build their value→code indexes lazily instead.
+    Columns encode *lazily*: a column pays the sort-and-intern cost
+    only when something asks for its codes (the kernel asks for Σ's
+    evidence/target columns only).
     """
 
     __slots__ = ("schema", "n_rows", "use_numpy", "_raw", "_dictionaries",
                  "_codes", "_indexes")
 
-    def __init__(self, schema: Schema, dictionaries: List[List[str]],
-                 codes: List[Any], n_rows: int, use_numpy: bool,
-                 raw_columns: Optional[List[Sequence[str]]] = None):
+    def __init__(self, schema: Schema, raw_columns: List[Sequence[str]],
+                 n_rows: int, use_numpy: bool):
         self.schema = schema
-        self._dictionaries = dictionaries
-        self._codes = codes
         self.n_rows = n_rows
         self.use_numpy = use_numpy
         self._raw = raw_columns
-        self._indexes: List[Optional[Dict[str, int]]] = \
-            [None] * len(dictionaries)
+        n_cols = len(raw_columns)
+        self._dictionaries: List[Optional[List[str]]] = [None] * n_cols
+        self._codes: List[Any] = [None] * n_cols
+        self._indexes: List[Optional[Dict[str, int]]] = [None] * n_cols
 
     # -- construction --------------------------------------------------------
 
@@ -192,8 +158,7 @@ class ColumnarTable:
                                  % (len(columns), schema.name, n_cols))
         else:
             columns = [()] * n_cols
-        return cls(schema, [None] * n_cols, [None] * n_cols, n_rows,
-                   np_mod is not None, raw_columns=columns)
+        return cls(schema, columns, n_rows, np_mod is not None)
 
     @classmethod
     def from_table(cls, table: Table,
@@ -232,24 +197,14 @@ class ColumnarTable:
         return self._dictionaries[pos]
 
     def column_index(self, pos: int) -> Dict[str, int]:
-        """``value -> code`` for column *pos*."""
-        index = self._indexes[pos]
-        if index is None:
-            if self._dictionaries[pos] is None:
-                self._encode(pos)
-            else:
-                index = {value: code for code, value
-                         in enumerate(self._dictionaries[pos])}
-                self._indexes[pos] = index
-            index = self._indexes[pos]
-        return index
+        """``value -> code`` for column *pos* (encoding on demand)."""
+        if self._indexes[pos] is None:
+            self._encode(pos)
+        return self._indexes[pos]
 
     def row_values(self, i: int) -> List[str]:
-        """Decode row *i* into a fresh cell list in schema order."""
-        if self._raw is not None:
-            return [column[i] for column in self._raw]
-        return [dictionary[column[i]] for dictionary, column
-                in zip(self._dictionaries, self._codes)]
+        """Row *i* as a fresh cell list in schema order."""
+        return [column[i] for column in self._raw]
 
     def to_rows(self) -> List[List[str]]:
         return [self.row_values(i) for i in range(self.n_rows)]
@@ -399,32 +354,6 @@ class ColumnarKernel:
         if ctable.use_numpy:
             return _NUMPY.flatnonzero(mask).tolist()
         return [i for i, hit in enumerate(mask) if hit]
-
-    # -- repair --------------------------------------------------------------
-
-    def repair_outcomes(self, ctable: ColumnarTable
-                        ) -> List[Optional[Tuple[List[str],
-                                                 List[Tuple[int, str]]]]]:
-        """Per-row ``repair_values`` outcomes, positionally aligned.
-
-        Non-candidate rows are provably fixpoints and get ``None``
-        without entering the chase; candidates are decoded and chased
-        through the compiled engine, so outcomes (values, provenance
-        ids, order) match the row backend exactly.
-        """
-        from .instrumentation import ENGINE_STATS
-        outcomes: List[Optional[Tuple[List[str],
-                                      List[Tuple[int, str]]]]] = \
-            [None] * ctable.n_rows
-        repair_values = self.compiled.repair_values
-        row_values = ctable.row_values
-        candidates = self.candidate_indices(ctable)
-        for i in candidates:
-            outcomes[i] = repair_values(row_values(i))
-        # Keep the engine's rows-processed accounting identical to the
-        # row backend: pruned rows were repaired too (to a fixpoint).
-        ENGINE_STATS.rows_repaired += ctable.n_rows - len(candidates)
-        return outcomes
 
 
 class ColumnarRepairReport(TableRepairReport):

@@ -42,8 +42,7 @@ at benchmark scale (|Σ| in the thousands):
   cached per process under the rule set's content fingerprint
   (:func:`repro.core.engine.rules_fingerprint`), so drivers that
   validate Σ once per table, per pipeline stage, or per tenant upload
-  never re-scan an unchanged Σ; :func:`seed_conflict_cache` installs
-  a verdict computed elsewhere.
+  never re-scan an unchanged Σ.
 
 Scan and pruning activity is counted in
 :data:`repro.core.instrumentation.ENGINE_STATS`.
@@ -450,18 +449,6 @@ def find_conflicts_cached(rules: RuleInput,
     complete = not (first_only and conflicts_list)
     _VERDICT_CACHE[fingerprint] = (complete, tuple(conflicts_list))
     return conflicts_list
-
-
-def seed_conflict_cache(fingerprint: str,
-                        conflicts: Sequence[Conflict] = (),
-                        complete: bool = True) -> None:
-    """Install a known verdict for the Σ identified by *fingerprint*.
-
-    For a process that receives a verdict already computed for Σ (by
-    another process, or a trusted earlier run), so the check is not
-    repeated here.
-    """
-    _VERDICT_CACHE[fingerprint] = (complete, tuple(conflicts))
 
 
 def clear_conflict_cache() -> None:

@@ -339,9 +339,9 @@ class DeltaRepairSession:
         self.stats["rows_loaded"] = len(self._originals)
         ids = list(self._originals)
         candidates: Iterable[str] = ids
-        from .columnar import ColumnarKernel, ColumnarTable, \
-            columnar_auto_threshold
-        if len(ids) >= columnar_auto_threshold() and ids:
+        from .columnar import (COLUMNAR_AUTO_THRESHOLD, ColumnarKernel,
+                               ColumnarTable)
+        if len(ids) >= COLUMNAR_AUTO_THRESHOLD and ids:
             # Columnar bulk load: one dictionary-encoded candidate scan
             # finds the rows any rule can fire on (exact, per the
             # candidate-exactness argument in repro.core.columnar), and

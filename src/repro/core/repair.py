@@ -252,9 +252,7 @@ VALID_BACKENDS = ("auto", "row", "columnar")
 
 def repair_table(table: Table, rules: RuleInput, algorithm: str = "fast",
                  check_consistency: bool = False,
-                 backend: str = "auto",
-                 columnar_threshold: Optional[int] = None
-                 ) -> TableRepairReport:
+                 backend: str = "auto") -> TableRepairReport:
     """Repair every row of *table* with Σ = *rules*.
 
     Parameters
@@ -275,21 +273,12 @@ def repair_table(table: Table, rules: RuleInput, algorithm: str = "fast",
         the table and scans evidence patterns as bulk integer-array
         intersections (:mod:`repro.core.columnar`) — same output,
         proven cell-for-cell by the differential harness; ``"auto"``
-        (default) picks columnar for serial fast repairs of at least
+        (default) picks columnar for fast repairs of at least
         :data:`~repro.core.columnar.COLUMNAR_AUTO_THRESHOLD` rows
-        (and whenever Σ is not instrumented), row otherwise.
+        when Σ is not instrumented, row otherwise.
         ``backend="columnar"`` with
         ``algorithm="chase"`` raises :class:`ValueError` — the
         columnar candidate detector is an lRepair-shaped engine.
-    columnar_threshold:
-        Overrides the ``backend="auto"`` switch-over row count for
-        this call.  ``None`` (default) resolves through
-        :func:`~repro.core.columnar.columnar_auto_threshold`, which
-        honours the ``REPRO_COLUMNAR_THRESHOLD`` environment variable
-        before falling back to the built-in
-        :data:`~repro.core.columnar.COLUMNAR_AUTO_THRESHOLD`.  Must
-        be an integer >= 1 (:class:`ValueError` otherwise); ignored
-        by the explicit ``"row"``/``"columnar"`` backends.
     """
     if algorithm not in VALID_ALGORITHMS:
         raise ValueError(
@@ -315,10 +304,10 @@ def repair_table(table: Table, rules: RuleInput, algorithm: str = "fast",
                 conflicts)
     results: List[RepairResult] = []
     if algorithm == "fast":
-        from .columnar import columnar_auto_threshold, columnar_repair_table
+        from .columnar import COLUMNAR_AUTO_THRESHOLD, columnar_repair_table
         if backend == "columnar" or (
                 backend == "auto"
-                and len(table) >= columnar_auto_threshold(columnar_threshold)
+                and len(table) >= COLUMNAR_AUTO_THRESHOLD
                 and not compile_for_schema(table.schema, rules).instrumented):
             return columnar_repair_table(table, rules)
         # One compiled Σ for the whole table; the chase runs over raw

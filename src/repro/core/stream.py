@@ -40,17 +40,21 @@ knobs:
 from __future__ import annotations
 
 import io
+import logging
 import os
 import tempfile
 import warnings
+from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..errors import (QUARANTINE, SKIP, STRICT, CheckpointError,
                       InconsistentRulesError, PipelineError, RowError,
                       validate_error_policy)
 from ..relational import Row, Schema
+from . import columnar
 from .consistency import find_conflicts_cached
 from .engine import CompiledRuleSet, compile_for_schema
+from .instrumentation import ENGINE_STATS
 from .pipeline import Checkpoint, FaultInjected, QuarantineWriter, fsync_handle
 from .repair import RepairResult, RuleInput, _as_rule_list
 
@@ -58,10 +62,11 @@ ON_INCONSISTENT_RAISE = "raise"
 ON_INCONSISTENT_DEGRADE = "degrade"
 _ON_INCONSISTENT = (ON_INCONSISTENT_RAISE, ON_INCONSISTENT_DEGRADE)
 
-#: Default rows per chunk of the columnar streaming path: large enough
-#: that dictionary encoding amortizes, small enough that checkpoints
-#: stay frequent.
-DEFAULT_CHUNK_SIZE = 1024
+#: Default records per chunk of :func:`repair_csv_file`: a full chunk
+#: reaches the columnar scan's row threshold.
+DEFAULT_CHUNK_SIZE = columnar.COLUMNAR_AUTO_THRESHOLD
+
+logger = logging.getLogger("repro.core.stream")
 
 #: First element of a per-row outcome recording an exception (see
 #: :func:`error_marker`).
@@ -301,24 +306,48 @@ def repair_stream(rows: Iterable[Row], rules: RuleInput,
     return generate()
 
 
-def _columnar_chunk_stream(schema, rules, chunks):
-    """Chunk runner for ``backend='columnar'`` streaming:
-    dictionary-encode each payload chunk, detect candidates with the
-    bulk kernel, and emit one encoded outcome per row — ``None``,
-    ``(new_values, applied)`` or an :func:`error_marker`."""
-    from .columnar import ColumnarKernel, ColumnarTable
-    compiled = compile_for_schema(schema, rules)
-    kernel = ColumnarKernel(compiled)
+def _columnar_chunk_stream(compiled: CompiledRuleSet, records,
+                           chunk_size: int):
+    """Repair ``(line_no, Row | RowError)`` *records* in chunks of
+    *chunk_size* records, yielding each chunk with one outcome per
+    record: ``None`` for a fixpoint or a :class:`RowError`,
+    ``(new_values, applied)`` for a repaired row, or an
+    :func:`error_marker`.
+
+    A chunk holding at least
+    :data:`~repro.core.columnar.COLUMNAR_AUTO_THRESHOLD` rows is
+    dictionary-encoded and only the kernel's candidate rows enter the
+    chase (the rest are provably fixpoints, see
+    :mod:`repro.core.columnar`); shorter chunks, and every chunk of an
+    instrumented Σ, are chased row by row — the routing rule of
+    ``repair_table(backend="auto")``.
+    """
     repair_values = compiled.repair_values
-    for payload in chunks:
-        out = [None] * len(payload)
-        ctable = ColumnarTable.from_rows(schema, payload)
-        for i in kernel.candidate_indices(ctable):
+    kernel = None
+    records = iter(records)
+    for chunk in iter(lambda: list(islice(records, chunk_size)), []):
+        rows = [k for k, (_line, item) in enumerate(chunk)
+                if not isinstance(item, RowError)]
+        if (len(rows) >= columnar.COLUMNAR_AUTO_THRESHOLD
+                and not compiled.instrumented):
+            if kernel is None:
+                kernel = columnar.ColumnarKernel(compiled)
+            candidates = kernel.candidate_indices(
+                columnar.ColumnarTable.from_rows(
+                    compiled.schema, [chunk[k][1]._cells for k in rows]))
+            # pruned rows count as repaired (to a fixpoint), as on
+            # the row engine
+            ENGINE_STATS.rows_repaired += len(rows) - len(candidates)
+            rows = [rows[i] for i in candidates]
+        outcomes = [None] * len(chunk)
+        for k in rows:
             try:
-                out[i] = repair_values(payload[i])
+                outcomes[k] = repair_values(chunk[k][1]._cells)
+            except FaultInjected:
+                raise  # simulated kill: never absorbed by a policy
             except Exception as exc:
-                out[i] = error_marker(exc)
-        yield out
+                outcomes[k] = error_marker(exc)
+        yield chunk, outcomes
 
 
 def repair_csv_file(input_path, rules: RuleInput, output_path,
@@ -330,9 +359,8 @@ def repair_csv_file(input_path, rules: RuleInput, output_path,
                     resume: bool = False,
                     on_inconsistent: str = ON_INCONSISTENT_RAISE,
                     rows=None,
-                    chunk_size: Optional[int] = None,
-                    backend: str = "auto") -> RepairSession:
-    """Repair a CSV file row by row, in constant memory, crash-safely.
+                    chunk_size: Optional[int] = None) -> RepairSession:
+    """Repair a CSV file chunk by chunk, in constant memory, crash-safely.
 
     Tuple-level repair needs no cross-row state, so arbitrarily large
     files stream through one :class:`RepairSession`: rows are read,
@@ -365,14 +393,16 @@ def repair_csv_file(input_path, rules: RuleInput, output_path,
     fault-injection tests wrap the default reader in a
     :class:`~repro.core.pipeline.FaultInjector`).
 
-    *backend* (``"auto"`` / ``"row"`` / ``"columnar"``, see
-    :func:`~repro.core.repair.repair_table`) picks the repair engine.
-    ``"columnar"`` batches parseable rows into dictionary-encoded
-    chunks of *chunk_size* rows (default ``min(DEFAULT_CHUNK_SIZE,
-    checkpoint_interval)``) and repairs them through the bulk engine —
-    same output bytes, with checkpoints committed at chunk boundaries;
-    under ``on_error='strict'`` a repair-time exception surfaces as
-    :class:`~repro.errors.PipelineError` naming the original type.
+    Records are repaired in chunks of *chunk_size* (default
+    :data:`DEFAULT_CHUNK_SIZE`, capped at *checkpoint_interval* when
+    checkpointing) with the session's compiled Σ; a chunk of at least
+    :data:`~repro.core.columnar.COLUMNAR_AUTO_THRESHOLD` rows goes
+    through the columnar candidate scan, a shorter one row by row —
+    same output bytes either way.  Checkpoints are committed at chunk
+    boundaries.  Under ``on_error='strict'`` a repair-time exception
+    surfaces as :class:`~repro.errors.PipelineError` naming the
+    original type.  Each rewritten cell is logged at ``DEBUG`` on the
+    ``repro.core.stream`` logger with its input line number.
     """
     import csv as _csv
     from ..relational.csvio import iter_csv_records
@@ -385,14 +415,15 @@ def repair_csv_file(input_path, rules: RuleInput, output_path,
             "with RuleSet(schema, rules) first"
             % type(rules).__name__)
     validate_error_policy(on_error)
-    from .repair import VALID_BACKENDS
-    if backend not in VALID_BACKENDS:
-        raise ValueError(
-            "unknown backend %r; valid choices are %s"
-            % (backend, ", ".join(repr(b) for b in VALID_BACKENDS)))
     if checkpoint_interval < 1:
         raise ValueError("checkpoint_interval must be >= 1, got %d"
                          % checkpoint_interval)
+    if chunk_size is None:
+        chunk_size = DEFAULT_CHUNK_SIZE
+        if checkpoint_path is not None:
+            chunk_size = min(chunk_size, checkpoint_interval)
+    elif chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1, got %d" % chunk_size)
     if resume and checkpoint_path is None:
         raise ValueError("resume=True requires checkpoint_path")
     if quarantine_path is not None and on_error != QUARANTINE:
@@ -424,6 +455,10 @@ def repair_csv_file(input_path, rules: RuleInput, output_path,
         fd, part_path = tempfile.mkstemp(
             dir=os.path.dirname(out_path) or ".",
             prefix=os.path.basename(out_path) + ".", suffix=".tmp")
+        # mkstemp makes the file 0600; publish with the mode open() gives
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         os.close(fd)
 
     quarantine = None
@@ -482,96 +517,45 @@ def repair_csv_file(input_path, rules: RuleInput, output_path,
         if rows is None:
             rows = iter_csv_records(input_path, schema, on_error=on_error)
 
-        if backend == "columnar":
-            shard = chunk_size if chunk_size is not None else min(
-                DEFAULT_CHUNK_SIZE, max(1, checkpoint_interval))
-            if shard < 1:
-                raise ValueError("chunk_size must be >= 1, got %d" % shard)
-            source = os.fspath(input_path)
-            rule_names = [rule.name for rule in session._rules]
-            pending_records = []
-
-            def shard_source():
-                """Group input records into chunks of parseable rows.
-
-                Appends each chunk's full ``(line_no, item)`` record
-                list to *pending_records* right before yielding its
-                repairable payload, so the consumer below can re-merge
-                errors and results in exact input order.
-                """
-                records, payload = [], []
-                for line_no, item in rows:
-                    if line_no <= resume_line:
-                        continue  # committed by the interrupted run
-                    records.append((line_no, item))
-                    if not isinstance(item, RowError):
-                        payload.append(list(item.values))
-                    if len(records) >= shard:
-                        pending_records.append(records)
-                        yield payload
-                        records, payload = [], []
-                if records:
-                    pending_records.append(records)
-                    yield payload
-
-            def merge_outcomes(outcome_stream):
-                nonlocal last_line, since_commit
-                for outcomes in outcome_stream:
-                    records = pending_records.pop(0)
-                    outcome_iter = iter(outcomes)
-                    for line_no, item in records:
-                        if isinstance(item, RowError):
-                            session.record_error(item)
-                        else:
-                            encoded = next(outcome_iter)
-                            if is_error_marker(encoded):
-                                _mark, error_type, message = encoded
-                                error = RowError(source, line_no,
-                                                 tuple(item.values),
-                                                 error_type, message)
-                                if on_error == STRICT:
-                                    raise PipelineError(
-                                        "row at line %d failed to repair: "
-                                        "%s: %s"
-                                        % (line_no, error_type, message))
-                                session.record_error(error)
-                            elif encoded is None:
-                                session.rows_seen += 1
-                                writer.writerow(item.values)
-                            else:
-                                new_values, applied = encoded
-                                session.rows_seen += 1
-                                session.rows_changed += 1
-                                session.cells_changed += len(applied)
-                                for rule_id, _old in applied:
-                                    name = rule_names[rule_id]
-                                    session._by_rule[name] = (
-                                        session._by_rule.get(name, 0) + 1)
-                                writer.writerow(new_values)
-                        last_line = line_no
-                        since_commit += 1
-                    if checkpointing and since_commit >= checkpoint_interval:
-                        commit()
-                        since_commit = 0
-
-            merge_outcomes(_columnar_chunk_stream(
-                schema, session._rules, shard_source()))
-        else:
-            for line_no, item in rows:
-                if line_no <= resume_line:
-                    continue  # committed by the interrupted run
+        compiled = session._engine_for(schema)
+        by_rule = session._by_rule
+        source = os.fspath(input_path)
+        log_fixes = logger.isEnabledFor(logging.DEBUG)
+        pending = (record for record in rows if record[0] > resume_line)
+        for chunk, outcomes in _columnar_chunk_stream(compiled, pending,
+                                                      chunk_size):
+            for (line_no, item), outcome in zip(chunk, outcomes):
                 if isinstance(item, RowError):
                     session.record_error(item)
+                elif outcome is None:
+                    session.rows_seen += 1
+                    writer.writerow(item._cells)
+                elif is_error_marker(outcome):
+                    _mark, error_type, message = outcome
+                    if on_error == STRICT:
+                        raise PipelineError(
+                            "row at line %d failed to repair: %s: %s"
+                            % (line_no, error_type, message))
+                    session.record_error(RowError(
+                        source, line_no, tuple(item._cells), error_type,
+                        message))
                 else:
-                    result = session.try_repair_row(
-                        item, line_no=line_no, source=os.fspath(input_path))
-                    if result is not None:
-                        writer.writerow(result.row.values)
+                    new_values, applied = outcome
+                    session.rows_seen += 1
+                    session.rows_changed += 1
+                    session.cells_changed += len(applied)
+                    for rule_id, _old in applied:
+                        rule = compiled.rules[rule_id]
+                        by_rule[rule.name] = by_rule.get(rule.name, 0) + 1
+                        if log_fixes:
+                            logger.debug("line %d, %s -> %r", line_no,
+                                         rule.attribute, rule.fact)
+                    writer.writerow(new_values)
                 last_line = line_no
-                since_commit += 1
-                if checkpointing and since_commit >= checkpoint_interval:
-                    commit()
-                    since_commit = 0
+            since_commit += len(chunk)
+            if checkpointing and since_commit >= checkpoint_interval:
+                commit()
+                since_commit = 0
 
         fsync_handle(handle)
         if quarantine is not None:

@@ -89,7 +89,7 @@ class ServeConfig(NamedTuple):
     #: request body cap, bytes
     max_body_bytes: int = 8 * 1024 * 1024
     #: where delta correction logs are written; None: the state dir's
-    #: ``spool`` directory, or a fresh temp dir
+    #: ``spool`` directory, or a fresh temp dir that drain removes
     spool_dir: Optional[str] = None
     #: crash-consistent state directory (WAL + snapshots + correction
     #: logs); None runs the daemon ephemeral, exactly as before.  With
@@ -125,6 +125,8 @@ class RepairServer:
                  registry: Optional[RulesetRegistry] = None):
         self.config = config.validate()
         self.state_store = None
+        #: the spool dir this daemon made itself; drain removes it
+        self._own_spool: Optional[str] = None
         if registry is None:
             import os
             spool_dir = config.spool_dir
@@ -138,6 +140,7 @@ class RepairServer:
             if spool_dir is None:
                 import tempfile
                 spool_dir = tempfile.mkdtemp(prefix="repro-serve-spool-")
+                self._own_spool = spool_dir
             registry = RulesetRegistry(spool_dir,
                                        state_store=self.state_store)
         else:
@@ -214,7 +217,9 @@ class RepairServer:
         await self._drained.wait()
 
     async def drain(self) -> bool:
-        """Stop admission, wait out in-flight work, shut down.
+        """Stop admission, wait out in-flight work, shut down: close
+        the delta sessions' correction logs and the state store, and
+        remove the spool dir if the daemon created it.
 
         Returns True when every in-flight request finished inside the
         drain budget; False when the budget expired with work still
@@ -235,8 +240,20 @@ class RepairServer:
         if self._connections:
             await asyncio.gather(*self._connections,
                                  return_exceptions=True)
+
+        def close_sessions() -> None:
+            with self._delta_lock:  # waits out a straggling apply
+                for session in self._delta_sessions.values():
+                    session.close()
+                self._delta_sessions.clear()
+
+        await asyncio.get_running_loop().run_in_executor(None,
+                                                         close_sessions)
         if self.state_store is not None:
             self.state_store.close()
+        if self._own_spool is not None:
+            import shutil
+            shutil.rmtree(self._own_spool, ignore_errors=True)
         self._drained.set()
         return clean
 

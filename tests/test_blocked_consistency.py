@@ -27,8 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (FixingRule, RepairSession, RuleSet,
                         blocked_candidate_pairs, clear_conflict_cache,
                         engine_stats, find_conflicts, find_conflicts_cached,
-                        repair_table, reset_engine_stats, rules_fingerprint,
-                        seed_conflict_cache)
+                        repair_table, reset_engine_stats)
 from repro.core.consistency import Conflict
 from repro.relational import Schema, Table
 
@@ -205,14 +204,6 @@ class TestVerdictCache:
         # ...and the rescan's complete verdict now serves full queries.
         assert find_conflicts_cached(rules) == full
         assert engine_stats()["consistency_checks"] == 2
-
-    def test_seeded_verdict_skips_check(self, paper_rules):
-        fingerprint = rules_fingerprint(paper_rules)
-        seed_conflict_cache(fingerprint)
-        assert find_conflicts_cached(paper_rules) == []
-        stats = engine_stats()
-        assert stats["consistency_checks"] == 0
-        assert stats["consistency_cache_hits"] == 1
 
     def test_different_rulesets_do_not_collide(self, phi1, phi2):
         assert find_conflicts_cached([phi1]) == []

@@ -51,10 +51,36 @@ class TestRepair:
         fixed = read_csv(out_path, schema=travel_schema)
         assert fixed[2]["country"] == "Japan"
 
-    def test_repair_chase_algorithm(self, rules_file, data_file, tmp_path):
+    def test_repair_chase_algorithm(self, rules_file, data_file, tmp_path,
+                                    travel_data, paper_rules,
+                                    travel_schema):
+        """The CLI's lRepair output equals the cRepair oracle, which
+        stays a library call (``repair_table(algorithm="chase")``)."""
+        from repro.core import repair_table
+        out_path = str(tmp_path / "fixed.csv")
+        assert main(["repair", data_file, rules_file, out_path]) == 0
+        chase = repair_table(travel_data, paper_rules, algorithm="chase")
+        assert [row.values for row in read_csv(out_path,
+                                               schema=travel_schema)] == \
+            [row.values for row in chase.table]
+
+    def test_verbose_prints_each_rewritten_cell(self, rules_file,
+                                                data_file, tmp_path,
+                                                capsys):
         out_path = str(tmp_path / "fixed.csv")
         assert main(["repair", data_file, rules_file, out_path,
-                     "--algorithm", "chase", "--verbose"]) == 0
+                     "--verbose"]) == 0
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines()
+                if line.startswith("  line ")] == [
+            "  line 3, capital -> 'Beijing'",
+            "  line 3, city -> 'Shanghai'",
+            "  line 4, country -> 'Japan'",
+            "  line 5, capital -> 'Ottawa'",
+        ]
+        # quiet again without the flag
+        assert main(["repair", data_file, rules_file, out_path]) == 0
+        assert "  line " not in capsys.readouterr().out
 
     def test_repair_inconsistent_rules_fails(self, bad_rules_file,
                                              data_file, tmp_path, capsys):
@@ -84,8 +110,7 @@ class TestRepairStreaming:
     def test_stream_flag_matches_batch(self, rules_file, data_file,
                                        tmp_path, travel_schema, capsys):
         out_path = str(tmp_path / "fixed.csv")
-        assert main(["repair", data_file, rules_file, out_path,
-                     "--stream"]) == 0
+        assert main(["repair", data_file, rules_file, out_path]) == 0
         assert "4 cells updated" in capsys.readouterr().out
         assert read_csv(out_path, schema=travel_schema)[2]["country"] \
             == "Japan"
@@ -94,8 +119,7 @@ class TestRepairStreaming:
                                                ragged_file, tmp_path,
                                                capsys):
         out_path = str(tmp_path / "fixed.csv")
-        assert main(["repair", ragged_file, rules_file, out_path,
-                     "--stream"]) == 2
+        assert main(["repair", ragged_file, rules_file, out_path]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_quarantine_flags(self, rules_file, ragged_file, tmp_path,

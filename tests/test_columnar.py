@@ -98,6 +98,13 @@ class TestEncodingRoundTrip:
             ctable = ColumnarTable.from_rows(schema, rows, use_numpy=mode)
             assert ctable.to_rows() == rows
             assert [ctable.row_values(i) for i in range(len(rows))] == rows
+            for pos in range(len(schema)):
+                dictionary = ctable.dictionary_for(pos)
+                assert [dictionary[code] for code
+                        in ctable.codes_for(pos)] == \
+                    [row[pos] for row in rows]
+                assert ctable.column_index(pos) == \
+                    {value: code for code, value in enumerate(dictionary)}
 
 
 class TestBackendEquivalence:

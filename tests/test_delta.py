@@ -21,9 +21,8 @@ from hypothesis import given, settings, strategies as st
 from repro.cli import main
 from repro.core import (ColumnarRepairReport, DeltaError, DeltaOutcome,
                         DeltaRepairSession, FixingRule, RuleSet,
-                        audit_correction_log, columnar_auto_threshold,
-                        ensure_consistent, iter_log_records,
-                        repair_delta_stream, repair_table,
+                        audit_correction_log, ensure_consistent,
+                        iter_log_records, repair_delta_stream, repair_table,
                         replay_correction_log, save_ruleset)
 from repro.core.incremental import ConsistentRuleSet
 from repro.core.resolution import DROP_CONFLICTING
@@ -467,66 +466,33 @@ class TestDeltaCli:
         assert payload["ok"] and payload["rows"] == 4
 
 
-# -- satellite: columnar auto-threshold override -----------------------------
+# -- satellite: columnar auto-threshold ------------------------------------
 
 class TestColumnarThreshold:
-    def test_default(self, monkeypatch):
+    def test_default(self, paper_rules, travel_schema):
+        """``backend="auto"`` switches at COLUMNAR_AUTO_THRESHOLD rows,
+        and a full default chunk of ``repair_csv_file`` reaches it."""
         from repro.core.columnar import COLUMNAR_AUTO_THRESHOLD
-        monkeypatch.delenv("REPRO_COLUMNAR_THRESHOLD", raising=False)
-        assert columnar_auto_threshold() == COLUMNAR_AUTO_THRESHOLD
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_THRESHOLD", "17")
-        assert columnar_auto_threshold() == 17
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_THRESHOLD", "17")
-        assert columnar_auto_threshold(3) == 3
-
-    @pytest.mark.parametrize("bad", ["banana", "0", "-4", "2.5"])
-    def test_invalid_env_named_in_error(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_COLUMNAR_THRESHOLD", bad)
-        with pytest.raises(ValueError, match="REPRO_COLUMNAR_THRESHOLD"):
-            columnar_auto_threshold()
-
-    def test_invalid_override_named_in_error(self):
-        with pytest.raises(ValueError, match="columnar_threshold"):
-            columnar_auto_threshold(0)
+        from repro.core.stream import DEFAULT_CHUNK_SIZE
+        assert DEFAULT_CHUNK_SIZE == COLUMNAR_AUTO_THRESHOLD == 4096
+        row = ["George", "China", "Beijing", "Shanghai", "ICDE"]
+        below = Table(travel_schema, [row] * (COLUMNAR_AUTO_THRESHOLD - 1))
+        assert not isinstance(repair_table(below, paper_rules),
+                              ColumnarRepairReport)
+        at = Table(travel_schema, [row] * COLUMNAR_AUTO_THRESHOLD)
+        assert isinstance(repair_table(at, paper_rules),
+                          ColumnarRepairReport)
 
     def test_threshold_routes_auto_backend(self, monkeypatch, paper_rules,
                                            travel_data):
-        monkeypatch.delenv("REPRO_COLUMNAR_THRESHOLD", raising=False)
+        from repro.core import columnar
         small = repair_table(travel_data, paper_rules)
         assert not isinstance(small, ColumnarRepairReport)
-        routed = repair_table(travel_data, paper_rules,
-                              columnar_threshold=1)
+        monkeypatch.setattr(columnar, "COLUMNAR_AUTO_THRESHOLD", 1)
+        routed = repair_table(travel_data, paper_rules)
         assert isinstance(routed, ColumnarRepairReport)
-        monkeypatch.setenv("REPRO_COLUMNAR_THRESHOLD", "2")
-        via_env = repair_table(travel_data, paper_rules)
-        assert isinstance(via_env, ColumnarRepairReport)
-
-    def test_cli_flag_rejects_invalid(self, tmp_path, paper_rules,
-                                      travel_data, capsys):
-        rules_path = tmp_path / "rules.json"
-        save_ruleset(paper_rules, rules_path)
-        data_path = tmp_path / "travel.csv"
-        write_csv(travel_data, data_path)
-        out_path = str(tmp_path / "fixed.csv")
-        assert main(["repair", str(data_path), str(rules_path), out_path,
-                     "--columnar-threshold", "0"]) == 2
-        assert "columnar_threshold" in capsys.readouterr().err
-
-    def test_cli_flag_routes(self, tmp_path, paper_rules, travel_data,
-                             monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_COLUMNAR_THRESHOLD", raising=False)
-        rules_path = tmp_path / "rules.json"
-        save_ruleset(paper_rules, rules_path)
-        data_path = tmp_path / "travel.csv"
-        write_csv(travel_data, data_path)
-        out_path = str(tmp_path / "fixed.csv")
-        assert main(["repair", str(data_path), str(rules_path), out_path,
-                     "--columnar-threshold", "1"]) == 0
-        assert "4 cells updated" in capsys.readouterr().out
+        assert [row.values for row in routed.table] == \
+            [row.values for row in small.table]
 
 
 # -- satellite: ConsistentRuleSet fingerprint invalidation -------------------

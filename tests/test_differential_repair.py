@@ -21,10 +21,11 @@ For every instance we assert, cell for cell:
 plus identical assured sets and identical per-rule application
 counters.  The streaming leg goes through
 :class:`~repro.core.stream.RepairSession`, i.e. the compiled-engine
-path a production monitor runs.  Chunk sizes of the chunked columnar
-file path are drawn per-instance so chunk boundaries vary across the
-corpus, and a chaos leg kills that path mid-file and resumes it from
-its checkpoint.
+path a production monitor runs.  Chunk sizes of the chunked file
+path are drawn per-instance so chunk boundaries vary across the
+corpus; its streaming leg sends every chunk through the columnar scan
+and, separately, through the row-by-row chase, and a chaos leg kills
+that path mid-file and resumes it from its checkpoint.
 
 Everything is seeded — two runs of this file execute byte-identical
 instances (see ``make test-differential``).
@@ -36,6 +37,7 @@ import random
 
 import pytest
 
+from repro.core import columnar
 from repro.core import (RuleSet, chase_repair, ensure_consistent,
                         fast_repair, repair_stream, repair_table)
 from repro.core.resolution import DROP_CONFLICTING
@@ -144,13 +146,15 @@ def test_differential_hosp_instance(seed):
 
 @pytest.mark.faultinjection
 @pytest.mark.parametrize("seed", [3, 17])
-def test_differential_supervised_chaos(seed, tmp_path):
-    """Chaos leg: a chunked columnar file run killed twice mid-file
-    and resumed from its checkpoint must not move a single cell — the
-    output still equals the table repair exactly."""
+def test_differential_supervised_chaos(seed, tmp_path, monkeypatch):
+    """Chaos leg: a chunked file run whose chunks take the columnar
+    scan, killed twice mid-file and resumed from its checkpoint, must
+    not move a single cell — the output still equals the table repair
+    exactly."""
     from repro.core import FaultInjected, FaultInjector, repair_csv_file
     from repro.relational.csvio import (iter_csv_records, read_csv,
                                         write_csv)
+    monkeypatch.setattr(columnar, "COLUMNAR_AUTO_THRESHOLD", 1)
     ruleset, table, chunk_size = make_instance(seed)
     serial = repair_table(table, ruleset)
     src = tmp_path / "dirty.csv"
@@ -160,15 +164,13 @@ def test_differential_supervised_chaos(seed, tmp_path):
     for attempt, fail_after in enumerate((ROWS_PER_INSTANCE // 3,
                                           2 * ROWS_PER_INSTANCE // 3)):
         with pytest.raises(FaultInjected):
-            repair_csv_file(src, ruleset, out, backend="columnar",
-                            chunk_size=chunk_size,
+            repair_csv_file(src, ruleset, out, chunk_size=chunk_size,
                             checkpoint_path=checkpoint,
                             checkpoint_interval=1, resume=attempt > 0,
                             rows=FaultInjector(
                                 iter_csv_records(src, ruleset.schema),
                                 fail_after=fail_after))
-    session = repair_csv_file(src, ruleset, out, backend="columnar",
-                              chunk_size=chunk_size,
+    session = repair_csv_file(src, ruleset, out, chunk_size=chunk_size,
                               checkpoint_path=checkpoint,
                               checkpoint_interval=1, resume=True)
     assert _cells(read_csv(out, schema=ruleset.schema)) == \
@@ -178,25 +180,32 @@ def test_differential_supervised_chaos(seed, tmp_path):
 
 
 @pytest.mark.parametrize("seed", [2, 23, 47, 71])
-def test_differential_streaming_columnar(seed, tmp_path):
-    """Streaming leg for the columnar backend: ``repair_csv_file`` must
-    produce byte-identical output under backend row and columnar
-    (chunked bulk engine)."""
+def test_differential_streaming_columnar(seed, tmp_path, monkeypatch):
+    """Streaming leg: ``repair_csv_file`` writes exactly the bytes of
+    ``repair_table(backend="row")`` with matching statistics, whether
+    every chunk takes the columnar scan (threshold 1) or is chased row
+    by row (threshold above the instance)."""
     from repro.core import repair_csv_file
     from repro.relational.csvio import write_csv
     ruleset, table, chunk_size = make_instance(seed)
     src = tmp_path / "dirty.csv"
     write_csv(table, src)
+    report = repair_table(table, ruleset, backend="row")
+    reference = tmp_path / "reference.csv"
+    write_csv(report.table, reference)
+    assert report.total_applications > 0  # non-vacuous
     outs = {}
-    for backend in ("row", "columnar"):
-        dst = tmp_path / ("out_%s.csv" % backend)
-        session = repair_csv_file(src, ruleset, dst, backend=backend,
-                                  chunk_size=chunk_size)
-        outs[backend] = (dst.read_bytes(), session.stats())
-    reference_bytes, reference_stats = outs["row"]
-    for key, (data, stats) in outs.items():
-        assert data == reference_bytes, "diverged: %r" % (key,)
-        assert stats == reference_stats, "stats diverged: %r" % (key,)
+    for threshold in (1, ROWS_PER_INSTANCE + 1):
+        monkeypatch.setattr(columnar, "COLUMNAR_AUTO_THRESHOLD", threshold)
+        dst = tmp_path / ("out_%d.csv" % threshold)
+        session = repair_csv_file(src, ruleset, dst, chunk_size=chunk_size)
+        assert dst.read_bytes() == reference.read_bytes(), threshold
+        assert session.applications_by_rule() == \
+            report.applications_by_rule()
+        assert session.cells_changed == report.total_applications
+        outs[threshold] = session.stats()
+    assert outs[1] == outs[ROWS_PER_INSTANCE + 1]
+    assert outs[1]["rows_seen"] == ROWS_PER_INSTANCE
 
 
 @pytest.mark.parametrize("seed", range(0, N_RANDOM_INSTANCES, 5))

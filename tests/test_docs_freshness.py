@@ -75,7 +75,7 @@ class TestApiReference:
                         "CompiledRuleSet",
                         "compile_ruleset", "compile_for_schema",
                         "rules_fingerprint", "blocked_candidate_pairs",
-                        "find_conflicts_cached", "seed_conflict_cache",
+                        "find_conflicts_cached",
                         "clear_conflict_cache", "VALID_STRATEGIES",
                         "engine_stats", "reset_engine_stats"]),
         ("repro.rulegen", ["generate_rules", "discover_rules",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import columnar
 from repro.core import (CompiledRuleSet, FixingRule,
                         InvertedIndex, MatchCounter, RuleSet,
                         chase_repair, compile_for_schema, compile_ruleset,
@@ -216,8 +217,10 @@ class TestChaseWithWorkersHonored:
 
         # backend="auto" routes big fast repairs to the columnar
         # lRepair engine; a chase must stay a chase at any size
-        report = repair_table(table, rules, algorithm="chase",
-                              backend="auto", columnar_threshold=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(columnar, "COLUMNAR_AUTO_THRESHOLD", 1)
+            report = repair_table(table, rules, algorithm="chase",
+                                  backend="auto")
         assert [row.values for row in report.table] == \
             [row.values for row in serial_chase.table]
 

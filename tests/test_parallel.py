@@ -10,10 +10,13 @@ byte for byte, whatever the chunking.
 
 Pinned here: Fig. 8 traces through the compiled batch kernel, the
 columnar ``repair_table`` backend against the row engine, the chunk
-plan of ``repair_csv_file(backend="columnar")``, byte-identical file
-output with summed statistics and quarantine parity, and
-kill-and-resume at chunk boundaries.  The randomized equivalence load
-is carried by ``test_differential_repair.py`` and
+plan of ``repair_csv_file``, byte-identical file output with summed
+statistics and quarantine parity between chunks sent through the
+columnar scan and chunks chased row by row, and kill-and-resume at
+chunk boundaries.  ``COLUMNAR_AUTO_THRESHOLD`` is patched to pick a
+chunk's route: 1 sends every chunk through the columnar scan, a value
+above the file's size chases every row.  The randomized equivalence
+load is carried by ``test_differential_repair.py`` and
 ``test_properties_parallel.py``.
 """
 
@@ -26,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import repro.core.stream as stream_module
+from repro.core import columnar
 from repro.core import (ColumnarRepairReport, CompiledRuleSet, FixingRule,
                         RuleSet, compile_for_schema, fast_repair,
                         repair_csv_file, repair_table)
@@ -47,19 +51,21 @@ def hosp_case():
     return noise.table, RuleSet(clean.schema, rules.rules()[:120])
 
 
+#: a chunk-route threshold above every test file's row count
+ROW_ROUTE = 10 ** 9
+
+
 @contextmanager
 def recorded_chunks():
-    """Record the payload size of every chunk that
-    ``repair_csv_file(backend="columnar")`` hands to the bulk engine."""
+    """Record the size of every chunk the chunk runner of
+    ``repair_csv_file`` repairs."""
     sizes = []
     original = stream_module._columnar_chunk_stream
 
-    def spy(schema, rules, chunks):
-        def counted():
-            for payload in chunks:
-                sizes.append(len(payload))
-                yield payload
-        return original(schema, rules, counted())
+    def spy(compiled, records, chunk_size):
+        for chunk, outcomes in original(compiled, records, chunk_size):
+            sizes.append(len(chunk))
+            yield chunk, outcomes
 
     stream_module._columnar_chunk_stream = spy
     try:
@@ -69,8 +75,9 @@ def recorded_chunks():
 
 
 def chunk_plan(n_rows: int, chunk_size: int):
-    """Repair an *n_rows* dirty file on the chunked columnar path and
-    return the chunk sizes it used; every row must come out fixed."""
+    """Repair an *n_rows* dirty file through the chunked file driver
+    and return the chunk sizes it used; every row must come out
+    fixed."""
     schema = Schema("T", ["a", "b"])
     rules = RuleSet(schema, [FixingRule({"a": "1"}, "b", ["0"], "1")])
     with tempfile.TemporaryDirectory() as tmp:
@@ -80,7 +87,6 @@ def chunk_plan(n_rows: int, chunk_size: int):
         with recorded_chunks() as sizes:
             session = repair_csv_file(source, rules, out,
                                       check_consistency=False,
-                                      backend="columnar",
                                       chunk_size=chunk_size)
         assert out.read_text(encoding="utf-8") == \
             "a,b\n" + "1,1\n" * n_rows
@@ -142,15 +148,17 @@ class TestExecutor:
                                         travel_data):
         """The chunk runner emits one outcome list per chunk, in
         submission order, each equal to that chunk's own repair."""
-        chunks = [[list(row.values)] for row in travel_data]
-        outcomes = list(stream_module._columnar_chunk_stream(
-            travel_schema, paper_rules, iter(chunks)))
-        assert len(outcomes) == len(travel_data)
+        kernel = compile_for_schema(travel_schema, paper_rules)
+        records = list(enumerate(travel_data, start=2))
+        chunks = list(stream_module._columnar_chunk_stream(
+            kernel, iter(records), 1))
+        assert [chunk for chunk, _outcomes in chunks] == \
+            [[record] for record in records]
+        outcomes = [outcome for _chunk, outcome in chunks]
         assert outcomes[0] == [None]          # r1 is clean
         assert outcomes[1][0] is not None     # r2 repaired
-        kernel = compile_for_schema(travel_schema, paper_rules)
-        assert outcomes == [[kernel.repair_values(chunk[0])]
-                            for chunk in chunks]
+        assert outcomes == [[kernel.repair_values(row.values)]
+                            for row in travel_data]
 
 
 class TestParallelRepairTable:
@@ -192,14 +200,16 @@ class TestParallelRepairTable:
             assert report.total_applications == 0
 
     def test_workers_one_falls_back_serially(self, travel_data,
-                                             paper_rules):
+                                             paper_rules, monkeypatch):
         """``backend="auto"`` keeps a table below the columnar
         threshold on the row engine — same answer either way."""
-        report = repair_table(travel_data, paper_rules,
-                              columnar_threshold=len(travel_data) + 1)
+        monkeypatch.setattr(columnar, "COLUMNAR_AUTO_THRESHOLD",
+                            len(travel_data) + 1)
+        report = repair_table(travel_data, paper_rules)
         assert not isinstance(report, ColumnarRepairReport)
         assert report.total_applications == 4
-        bulk = repair_table(travel_data, paper_rules, columnar_threshold=1)
+        monkeypatch.setattr(columnar, "COLUMNAR_AUTO_THRESHOLD", 1)
+        bulk = repair_table(travel_data, paper_rules)
         assert isinstance(bulk, ColumnarRepairReport)
         assert [row.values for row in bulk.table] == \
             [row.values for row in report.table]
@@ -243,16 +253,19 @@ class TestRepairCsvFileParallel:
         return path, rules
 
     def test_output_byte_identical_and_stats_summed(self, tmp_path,
-                                                    hosp_case):
+                                                    hosp_case,
+                                                    monkeypatch):
         path, rules = self._write_case(tmp_path, hosp_case)
         out_serial = tmp_path / "serial.csv"
         out_chunked = tmp_path / "chunked.csv"
+        monkeypatch.setattr(columnar, "COLUMNAR_AUTO_THRESHOLD", ROW_ROUTE)
         serial = repair_csv_file(path, rules, out_serial,
-                                 check_consistency=False, backend="row")
+                                 check_consistency=False)
+        monkeypatch.setattr(columnar, "COLUMNAR_AUTO_THRESHOLD", 1)
         with recorded_chunks() as sizes:
             chunked = repair_csv_file(path, rules, out_chunked,
                                       check_consistency=False,
-                                      backend="columnar", chunk_size=61)
+                                      chunk_size=61)
         assert len(sizes) == 7  # 400 rows: six full chunks + a tail
         assert out_serial.read_bytes() == out_chunked.read_bytes()
         assert chunked.stats() == serial.stats()
@@ -260,21 +273,23 @@ class TestRepairCsvFileParallel:
             serial.applications_by_rule()
         assert chunked.rows_changed > 0
 
-    def test_quarantine_parity(self, tmp_path, hosp_case):
+    def test_quarantine_parity(self, tmp_path, hosp_case, monkeypatch):
         path, rules = self._write_case(tmp_path, hosp_case, corrupt=True)
         out_serial = tmp_path / "serial.csv"
         out_chunked = tmp_path / "chunked.csv"
         q_serial = tmp_path / "serial.quarantine.jsonl"
         q_chunked = tmp_path / "chunked.quarantine.jsonl"
+        monkeypatch.setattr(columnar, "COLUMNAR_AUTO_THRESHOLD", ROW_ROUTE)
         serial = repair_csv_file(path, rules, out_serial,
-                                 check_consistency=False, backend="row",
+                                 check_consistency=False,
                                  on_error="quarantine",
                                  quarantine_path=q_serial)
+        monkeypatch.setattr(columnar, "COLUMNAR_AUTO_THRESHOLD", 1)
         chunked = repair_csv_file(path, rules, out_chunked,
                                   check_consistency=False,
                                   on_error="quarantine",
                                   quarantine_path=q_chunked,
-                                  backend="columnar", chunk_size=23)
+                                  chunk_size=23)
         assert out_serial.read_bytes() == out_chunked.read_bytes()
         assert q_serial.read_text() == q_chunked.read_text()
         assert serial.stats() == chunked.stats()
@@ -284,18 +299,22 @@ class TestRepairCsvFileParallel:
         path, rules = self._write_case(tmp_path, hosp_case)
         with pytest.raises(ValueError, match="chunk_size"):
             repair_csv_file(path, rules, tmp_path / "out.csv",
-                            check_consistency=False, backend="columnar",
-                            chunk_size=0)
+                            check_consistency=False, chunk_size=0)
         assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.faultinjection
 class TestParallelKillAndResume:
     """Kill a chunked run mid-chunk, resume from the checkpoint, and
-    land on byte-identical output."""
+    land on byte-identical output.  Every chunk takes the columnar
+    scan unless a test says otherwise."""
 
     CHUNK = 29
     INTERVAL = 60
+
+    @pytest.fixture(autouse=True)
+    def _columnar_route(self, monkeypatch):
+        monkeypatch.setattr(columnar, "COLUMNAR_AUTO_THRESHOLD", 1)
 
     def _setup(self, tmp_path, hosp_case):
         dirty, rules = hosp_case
@@ -312,7 +331,7 @@ class TestParallelKillAndResume:
             records = FaultInjector(iter_csv_records(path, rules.schema),
                                     fail_after=fail_after)
         return repair_csv_file(
-            path, rules, out, check_consistency=False, backend="columnar",
+            path, rules, out, check_consistency=False,
             chunk_size=chunk_size, checkpoint_path=checkpoint,
             checkpoint_interval=self.INTERVAL, resume=resume, rows=records)
 
@@ -330,17 +349,19 @@ class TestParallelKillAndResume:
         assert session.stats()["rows_seen"] == 400
 
     def test_parallel_kill_serial_resume_interoperate(self, tmp_path,
-                                                      hosp_case):
-        """Commit tokens are input line numbers, so a run killed on the
-        chunked columnar path resumes on the row path (and produces
-        the same bytes) — no engine lock-in for operators."""
+                                                      hosp_case,
+                                                      monkeypatch):
+        """Commit tokens are input line numbers, so a run killed while
+        its chunks take the columnar scan resumes with every row
+        chased one by one (and produces the same bytes)."""
         path, rules, reference = self._setup(tmp_path, hosp_case)
         out = tmp_path / "killed.csv"
         checkpoint = tmp_path / "ckpt.json"
         with pytest.raises(FaultInjected):
             self._run(path, rules, out, checkpoint, fail_after=311)
+        monkeypatch.setattr(columnar, "COLUMNAR_AUTO_THRESHOLD", ROW_ROUTE)
         repair_csv_file(path, rules, out, check_consistency=False,
-                        backend="row", checkpoint_path=checkpoint,
+                        checkpoint_path=checkpoint,
                         resume=True, checkpoint_interval=self.INTERVAL)
         assert out.read_bytes() == reference.read_bytes()
 

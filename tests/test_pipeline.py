@@ -294,6 +294,17 @@ class TestAtomicOutput:
         assert [p for p in tmp_path.iterdir()
                 if p.name.startswith("out.csv.")] == []
 
+    def test_output_mode_matches_plain_open(self, clean_csv, paper_rules,
+                                            tmp_path):
+        """The published file gets the mode ``open()`` would give it,
+        not the temp file's private 0600."""
+        import os
+        out = tmp_path / "out.csv"
+        repair_csv_file(clean_csv, paper_rules, out)
+        plain = tmp_path / "plain.csv"
+        plain.write_text("", encoding="utf-8")
+        assert os.stat(out).st_mode == os.stat(plain).st_mode
+
     def test_success_replaces_preexisting_output(self, clean_csv,
                                                  paper_rules, tmp_path,
                                                  travel_schema):

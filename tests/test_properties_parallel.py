@@ -7,9 +7,10 @@ invariants, per DESIGN.md and Section 4 of the paper:
 * the compiled batch kernel every driver runs computes exactly
   :func:`fast_repair` — same cells, same provenance, same assured set
   — and, on a consistent Σ, the same tuple as :func:`chase_repair`;
-* output is invariant under the chunk plan: any ``chunk_size`` of the
-  columnar bulk engine produces the row-by-row result, and the chunked
-  file path covers every row exactly once;
+* output is invariant under the chunk plan: any ``chunk_size``, with
+  chunks sent through the columnar scan or chased row by row,
+  produces the row-by-row result, and the chunked file path covers
+  every row exactly once;
 * termination (≤ |attr(R)| proper applications per tuple) and
   assured-set discipline (assured = union of touched attributes of the
   applied rules; assured attributes never rewritten) survive the
@@ -21,9 +22,12 @@ examples.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import columnar
 from repro.core import (CompiledRuleSet, RuleSet, chase_repair,
                         fast_repair)
 from repro.core.stream import _columnar_chunk_stream
@@ -93,20 +97,24 @@ class TestChunkInvariance:
         assert plan == chunk_plan(total, chunk_size)
 
     @settings(max_examples=100, **FIXED)
-    @given(consistent_rulesets(), tables(), st.integers(1, 20))
+    @given(consistent_rulesets(), tables(), st.integers(1, 20),
+           st.sampled_from([1, 10 ** 9]))
     def test_chunked_kernel_equals_rowwise(self, ruleset, table,
-                                           chunk_size):
-        """Repairing chunk by chunk through the columnar bulk engine
+                                           chunk_size, threshold):
+        """Repairing chunk by chunk — through the columnar scan
+        (threshold 1) or row by row (threshold above any chunk) —
         reassembles to the row-by-row result for any chunk size."""
-        values = [list(row.values) for row in table]
-        chunks = [values[start:start + chunk_size]
-                  for start in range(0, len(values), chunk_size)]
+        records = list(enumerate(table, start=2))
         merged = []
-        for chunk, outcomes in zip(chunks, _columnar_chunk_stream(
-                SCHEMA, ruleset.rules(), iter(chunks))):
-            for row_values, outcome in zip(chunk, outcomes):
-                merged.append(tuple(outcome[0]) if outcome is not None
-                              else tuple(row_values))
+        with mock.patch.object(columnar, "COLUMNAR_AUTO_THRESHOLD",
+                               threshold):
+            for chunk, outcomes in _columnar_chunk_stream(
+                    CompiledRuleSet(SCHEMA, ruleset), iter(records),
+                    chunk_size):
+                assert len(chunk) <= chunk_size
+                for (_line, row), outcome in zip(chunk, outcomes):
+                    merged.append(tuple(outcome[0]) if outcome is not None
+                                  else row.values)
         expected = [fast_repair(row, ruleset).row.values for row in table]
         assert merged == expected
 
@@ -158,5 +166,4 @@ def test_plan_chunks_rejects_bad_chunk_size(bad, tmp_path):
     source.write_text(",".join(ATTRS) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="chunk_size"):
         repair_csv_file(source, RuleSet(SCHEMA, []), tmp_path / "out.csv",
-                        check_consistency=False, backend="columnar",
-                        chunk_size=bad)
+                        check_consistency=False, chunk_size=bad)

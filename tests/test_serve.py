@@ -772,6 +772,38 @@ def test_graceful_drain(tmp_path):
         request(port, "GET", "/healthz", timeout=2.0)
 
 
+def test_drain_closes_delta_logs_and_own_spool(tmp_path):
+    """Drain closes every tenant's correction log and removes the spool
+    dir the daemon created for itself, but never a caller's."""
+    import os
+    daemon = ServerThread(ServeConfig(request_timeout=20.0)).start()
+    try:
+        status, _, _ = request(daemon.port, "POST", "/rulesets/default",
+                               body=ruleset_to_json(
+                                   travel_rules("phi1", "phi2")))
+        assert status == 200
+        status, _, _ = request(
+            daemon.port, "POST", "/repair/delta?tenant=default",
+            body={"upserts": [{"id": "r1", "values": [
+                "Ian", "China", "Shanghai", "Hongkong", "ICDE"]}]})
+        assert status == 200
+        server = daemon.server
+        spool = server.registry.spool_dir
+        assert os.path.basename(spool).startswith("repro-serve-spool-")
+        (session,) = server._delta_sessions.values()
+        log_file = session.log._fh
+        assert not log_file.closed
+    finally:
+        assert daemon.stop() is True
+    assert log_file.closed
+    assert not server._delta_sessions
+    assert not os.path.exists(spool)
+
+    given_spool = start_chaos_daemon(tmp_path)
+    assert given_spool.stop() is True
+    assert (tmp_path / "spool").is_dir()
+
+
 class TestDiscoverEndpoint:
     """POST /rulesets/{tenant}/discover: mine weighted rules from
     posted dirty rows and install them through the shadow slot."""

@@ -197,8 +197,7 @@ class TestShutdownPaths:
         source, rules = file_case
         out = tmp_path / "out.csv"
         session = repair_csv_file(source, rules, out,
-                                  check_consistency=False,
-                                  backend="columnar", chunk_size=7)
+                                  check_consistency=False, chunk_size=7)
         assert session.rows_seen == 100
         assert out.read_text(encoding="utf-8") == \
             "a,b\n" + "1,1\n2,5\n" * 50
@@ -209,7 +208,7 @@ class TestShutdownPaths:
         out = tmp_path / "out.csv"
         with pytest.raises(FaultInjected):
             repair_csv_file(source, rules, out, check_consistency=False,
-                            backend="columnar", chunk_size=7,
+                            chunk_size=7,
                             rows=FaultInjector(
                                 iter_csv_records(source, rules.schema),
                                 fail_after=40))
@@ -282,11 +281,9 @@ class TestCliSupervisionFlags:
         data, rule_file = cli_case
         out = tmp_path / "out.csv"
         assert main(["repair", str(data), str(rule_file), str(out),
-                     "--stream", "--backend", "columnar",
                      "--chunk-size", "0"]) == 2
         assert main(["repair", str(data), str(rule_file), str(out),
-                     "--stream", "--checkpoint-interval", "0"]) == 2
-        # checked on the table path too, not silently ignored there
+                     "--checkpoint-interval", "0"]) == 2
         assert main(["repair", str(data), str(rule_file), str(out),
                      "--chunk-size", "-1"]) == 2
         err = capsys.readouterr().err
@@ -299,8 +296,7 @@ class TestCliSupervisionFlags:
         data, rule_file = cli_case
         out = tmp_path / "out.csv"
         assert main(["repair", str(data), str(rule_file), str(out),
-                     "--stream", "--skip-check",
-                     "--fail-on-quarantine"]) == 0
+                     "--skip-check", "--fail-on-quarantine"]) == 0
         stdout = capsys.readouterr().out
         assert "repaired 3 rows" in stdout
         assert "summary: rows repaired=3 quarantined=0" in stdout
@@ -322,15 +318,14 @@ class TestCliSupervisionFlags:
 
     def test_supervision_flags_reach_parallel_run(self, cli_case,
                                                   tmp_path, capsys):
-        """``--backend columnar --chunk-size`` reach the chunked file
-        driver: the bulk engine sees exactly the requested chunks."""
+        """``--chunk-size`` reaches the chunked file driver: the chunk
+        runner sees exactly the requested chunks."""
         from repro.cli import main
         data, rule_file = cli_case
         out = tmp_path / "out.csv"
         with recorded_chunks() as sizes:
             assert main(["repair", str(data), str(rule_file), str(out),
-                         "--skip-check", "--stream", "--backend",
-                         "columnar", "--chunk-size", "2",
+                         "--skip-check", "--chunk-size", "2",
                          "--fail-on-quarantine"]) == 0
         assert sizes == [2, 1]
         assert out.read_text(encoding="utf-8") == "a,b\n1,1\n1,1\n2,5\n"

@@ -97,7 +97,7 @@ def _reference_without_poison_row(reference) -> bytes:
 class TestPoisonRowEndToEnd:
     def test_poison_row_quarantined_output_serial_identical(
             self, chaos_case, tmp_path, monkeypatch):
-        """The acceptance scenario on the chunked columnar path: a row
+        """The acceptance scenario on 16-row chunks: a row
         that raises every time it is repaired ends in quarantine with
         exact line provenance, every other row is repaired, and the
         output is byte-identical to the clean run minus that line."""
@@ -109,7 +109,7 @@ class TestPoisonRowEndToEnd:
                                   check_consistency=False,
                                   on_error="quarantine",
                                   quarantine_path=quarantine,
-                                  backend="columnar", chunk_size=16)
+                                  chunk_size=16)
         records = read_quarantine(quarantine)
         assert len(records) == 1
         assert records[0].error_type == "InjectedFault"
@@ -127,7 +127,7 @@ class TestPoisonRowEndToEnd:
         out = tmp_path / "out.csv"
         with pytest.raises(PipelineError, match="InjectedFault") as err:
             repair_csv_file(path, rules, out, check_consistency=False,
-                            backend="columnar", chunk_size=16)
+                            chunk_size=16)
         assert "line %d" % POISON_LINE in str(err.value)
         assert not out.exists()
 
@@ -142,7 +142,7 @@ class TestTransientFaultsHeal:
         out = tmp_path / "slow.csv"
         session = repair_csv_file(path, rules, out,
                                   check_consistency=False,
-                                  backend="columnar", chunk_size=16)
+                                  chunk_size=16)
         assert out.read_bytes() == reference.read_bytes()
         assert session.rows_failed == 0
 
@@ -178,9 +178,9 @@ class TestTransientFaultsHeal:
 
     def test_worker_exception_is_per_row_not_supervision(
             self, chaos_case, tmp_path, monkeypatch):
-        """On the row path too, a raising row is an ordinary per-row
-        error under the session's policy: it is quarantined as the
-        exception it raised and the run carries on."""
+        """With the default chunking too, a raising row is an ordinary
+        per-row error under the session's policy: it is quarantined as
+        the exception it raised and the run carries on."""
         path, rules, reference = chaos_case
         arm(monkeypatch, _poison)
         out = tmp_path / "exc.csv"
@@ -188,8 +188,7 @@ class TestTransientFaultsHeal:
         session = repair_csv_file(path, rules, out,
                                   check_consistency=False,
                                   on_error="quarantine",
-                                  quarantine_path=quarantine,
-                                  backend="row")
+                                  quarantine_path=quarantine)
         records = read_quarantine(quarantine)
         assert len(records) == 1
         assert records[0].error_type == "InjectedFault"
