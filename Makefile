@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-fault test-differential test-columnar test-serve test-delta test-discovery test-durability bench bench-core bench-serve bench-delta bench-discovery results examples clean
+.PHONY: install test test-fault test-differential test-columnar test-serve test-delta test-discovery test-durability bench bench-serve bench-delta bench-discovery results examples clean
 
 install:
 	$(PY) setup.py develop
@@ -66,12 +66,6 @@ test-durability:
 
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only
-
-# Compiled-engine throughput + blocked isConsist vs pairwise; writes
-# BENCH_core.json and exits nonzero if throughput regresses below the
-# pre-engine baseline (pass ARGS=--smoke for the <2s CI configuration).
-bench-core:
-	$(PY) benchmarks/bench_core_engine.py $(ARGS)
 
 # Serve-path latency/throughput; writes BENCH_serve.json and exits
 # nonzero on any failed request or a throughput regression (pass

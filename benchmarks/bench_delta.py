@@ -4,8 +4,8 @@ Standalone script (not a pytest benchmark — run it directly):
 
     PYTHONPATH=src python benchmarks/bench_delta.py
 
-Generates the same noisy HOSP workload as ``bench_core_engine``
-(Section 7 protocol, seeded), loads it into a
+Generates a noisy HOSP workload (Section 7 protocol, seeded: 8%% noise,
+at most 2,000 seed rules), loads it into a
 :class:`~repro.core.delta.DeltaRepairSession`, then measures three
 things:
 
@@ -35,12 +35,18 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core import DeltaRepairSession, audit_correction_log, repair_table
+from repro.core import (DeltaRepairSession, RuleSet, audit_correction_log,
+                        repair_table)
+from repro.datagen import (constraint_attributes, generate_hosp, hosp_fds,
+                           inject_noise)
+from repro.rulegen.seeds import generate_seed_rules
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_delta.json"
 
 ROWS = 50_000
+RULE_CAP = 2_000
+NOISE_RATE = 0.08
 DELTA_FRACTION = 0.01
 SEED = 7
 ROUNDS = 3              # best-of for the sub-second incremental legs
@@ -48,8 +54,13 @@ SPEEDUP_GATE = 10.0
 
 
 def build_workload(rows: int, seed: int = SEED):
-    from bench_core_engine import RULE_CAP, build_workload as build
-    return build(rows=rows, rule_cap=RULE_CAP, seed=seed)
+    """Section 7 protocol: clean HOSP, injected noise, seed rules
+    capped at :data:`RULE_CAP`."""
+    clean = generate_hosp(rows=rows, seed=seed)
+    noise = inject_noise(clean, constraint_attributes(hosp_fds()),
+                         noise_rate=NOISE_RATE, typo_ratio=0.5, seed=seed)
+    mined = generate_seed_rules(clean, noise.table, hosp_fds())
+    return noise.table, RuleSet(clean.schema, mined.rules()[:RULE_CAP])
 
 
 def full_columnar_seconds(table, rules, rounds: int = 1):

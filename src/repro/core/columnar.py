@@ -240,11 +240,6 @@ class ColumnarKernel:
     __slots__ = ("compiled", "_groups")
 
     def __init__(self, compiled: CompiledRuleSet):
-        if compiled.instrumented:
-            raise ValueError(
-                "columnar backend cannot run instrumented rule sets "
-                "(rules overriding matches/apply run through the "
-                "Row-level executor only)")
         self.compiled = compiled
         groups: Dict[Tuple[Tuple[int, ...], int],
                      List[Tuple[Tuple[str, ...], FrozenSet[str]]]] = {}
@@ -448,8 +443,7 @@ def columnar_repair_table(table: Table, rules: RuleInput,
     Output is identical — cells, provenance, assured sets, application
     order — to ``repair_table(table, rules)``'s serial fast path; only
     the fixpoint proof strategy (and the report's lazy provenance
-    materialization) differs.  Instrumented rule sets are rejected —
-    they require the Row-level executor.
+    materialization) differs.
     """
     compiled = compile_for_schema(table.schema, rules)
     kernel = ColumnarKernel(compiled)

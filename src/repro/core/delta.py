@@ -68,6 +68,7 @@ from typing import (Any, Dict, FrozenSet, Iterable, Iterator, List,
 
 from ..errors import InconsistentRulesError, ReproError
 from ..relational import Row, Schema, Table
+from .instrumentation import ENGINE_STATS
 from .repair import AppliedFix, RepairResult
 from .rule import FixingRule
 from .ruleset import RuleSet
@@ -351,6 +352,9 @@ class DeltaRepairSession:
                 self.schema, [self._originals[rid] for rid in ids])
             kernel = ColumnarKernel(self._compiled)
             candidates = [ids[i] for i in kernel.candidate_indices(ctable)]
+            # pruned rows count as repaired (to a fixpoint), as on the
+            # row engine
+            ENGINE_STATS.rows_repaired += len(ids) - len(candidates)
             self._seed_postings_columnar(ctable, ids)
         else:
             for attr in self._indexed_attrs:

@@ -1,22 +1,21 @@
 """The compiled rule engine — the single hot path for every repair driver.
 
-A positional batch kernel measured ~9x faster than the per-row
-``fast_repair`` loop: the win came from compiling Σ once — resolving attribute names to schema positions,
-interning the rule constants, and pre-building the inverted evidence
-lists — and then chasing raw value lists instead of ``Row`` objects.
-This module promotes that kernel to the one execution engine behind
-every repair path:
+A positional batch kernel measured ~9x faster than a ``Row``-level
+lRepair loop: the win came from compiling Σ once — resolving attribute
+names to schema positions, interning the rule constants, and
+pre-building the inverted evidence lists — and then chasing raw value
+lists instead of ``Row`` objects.  This module is the one execution
+engine behind every production repair path:
 
 * :class:`CompiledRuleSet` — Σ compiled against a schema: interned
   constants, rules flattened into positional tuples, the inverted
   lists of Section 6.2 re-keyed by column index, and a content
   :attr:`~CompiledRuleSet.fingerprint` identifying the compilation
-  across processes.  ``fast_repair``, the ``repair_table`` loop,
-  :class:`~repro.core.stream.RepairSession`, ``repair_csv_file`` and
-  the daemon's ``/repair`` all execute
-  :meth:`~CompiledRuleSet.repair_values` (or its ``Row`` adapter),
-  so every driver literally shares one code path and the
-  differential harness collapses to one equivalence class.
+  across processes.  The ``repair_table`` loop, the columnar backend,
+  :class:`~repro.core.stream.RepairSession`, ``repair_csv_file``,
+  :class:`~repro.core.delta.DeltaRepairSession` and the daemon's
+  ``/repair`` all execute :meth:`~CompiledRuleSet.repair_values` (or
+  its ``Row`` adapter).
 * :func:`compile_ruleset` / :func:`compile_for_schema` — compilation
   entry points with memoization: a :class:`~repro.core.ruleset.RuleSet`
   caches its compiled form (invalidated on mutation), so repeated
@@ -25,14 +24,15 @@ every repair path:
   hash of Σ, keying the consistency-verdict cache in
   :mod:`repro.core.consistency` and the compile cache of the daemon.
 
-The chase itself follows Fig. 7 line by line and seeds/drains the
-frontier Γ in exactly the order the historical ``fast_repair`` did, so
+The chase follows Fig. 7 line by line and seeds/drains the frontier Γ
+in the same order as the ``Row``-level reference
+:func:`~repro.core.repair.fast_repair` (ascending rule id, LIFO), so
 results are identical even on an (erroneously) inconsistent Σ, where
-order matters.  Instrumented rule sets — rules overriding ``matches``
-et al., as built by :func:`repro.core.instrumentation.counting_rules` —
-are detected at compile time and executed through a ``Row``-level
-variant of the same frontier discipline, so the examination accounting
-the complexity tests rely on keeps its historical meaning.
+order matters.  Compilation reads each rule's data — evidence,
+attribute, negatives, fact — and execution never calls a rule method,
+so a rule subclass that overrides ``matches`` (such as the counting
+wrappers of :mod:`repro.core.instrumentation`) repairs exactly like
+the plain rule it wraps.
 
 Engine activity (compilations, cache hits, rows repaired) is counted
 in :data:`repro.core.instrumentation.ENGINE_STATS`.
@@ -48,7 +48,6 @@ from typing import (Dict, FrozenSet, List, Optional, Sequence, Tuple,
 
 from ..relational import Row, Schema
 from .instrumentation import ENGINE_STATS
-from .matching import properly_applicable
 from .rule import FixingRule
 from .ruleset import RuleSet
 
@@ -77,20 +76,6 @@ def _as_rule_list(rules: RuleInput) -> List[FixingRule]:
     if isinstance(rules, RuleSet):
         return rules.rules()
     return list(rules)
-
-
-def _is_instrumented(rule: FixingRule) -> bool:
-    """Does *rule* override the match/apply primitives?
-
-    Instrumentation wrappers (:class:`~repro.core.instrumentation.
-    CountingRule`) count ``matches`` examinations; the positional hot
-    loop never calls ``matches``, so such rules must run through the
-    ``Row``-level executor to keep their accounting meaningful.
-    """
-    cls = type(rule)
-    return (cls.matches is not FixingRule.matches
-            or cls.evidence_matches is not FixingRule.evidence_matches
-            or cls.apply_in_place is not FixingRule.apply_in_place)
 
 
 def rules_fingerprint(rules: RuleInput) -> str:
@@ -135,7 +120,7 @@ class CompiledRuleSet:
 
     __slots__ = ("schema", "rules", "_nattrs", "_lists_by_pos", "_ev_size",
                  "_b_pos", "_negatives", "_fact", "_touched", "_ev_pos",
-                 "_touched_pos", "_instrumented", "_fingerprint")
+                 "_touched_pos", "_fingerprint")
 
     def __init__(self, schema: Schema, rules: RuleInput):
         rule_list = _as_rule_list(rules)
@@ -144,8 +129,6 @@ class CompiledRuleSet:
         self.schema = schema
         self.rules: Tuple[FixingRule, ...] = tuple(rule_list)
         self._nattrs = len(schema)
-        self._instrumented = any(_is_instrumented(rule)
-                                 for rule in rule_list)
         index_of = schema.index_of
         lists: List[Dict[str, Tuple[int, ...]]] = [
             {} for _ in range(self._nattrs)]
@@ -192,11 +175,6 @@ class CompiledRuleSet:
             self._fingerprint = rules_fingerprint(self.rules)
         return self._fingerprint
 
-    @property
-    def instrumented(self) -> bool:
-        """Does Σ contain rules overriding the match primitives?"""
-        return self._instrumented
-
     def evidence_layout(self) -> Tuple[Tuple[Tuple[Tuple[int, str], ...],
                                              int, FrozenSet[str], str], ...]:
         """Per-rule positional pattern data, in rule-id order.
@@ -232,16 +210,6 @@ class CompiledRuleSet:
         *applied* lists ``(rule_id, old_value)`` pairs in application
         order.  The input sequence is never mutated.
         """
-        if self._instrumented:
-            result = self._repair_row_instrumented(
-                Row.from_trusted(self.schema, list(values)))
-            if not result.applied:
-                return None
-            pos_of = {id(rule): rule_id
-                      for rule_id, rule in enumerate(self.rules)}
-            return (list(result.row._cells),
-                    [(pos_of[id(fix.rule)], fix.old_value)
-                     for fix in result.applied])
         ENGINE_STATS.rows_repaired += 1
         lists_by_pos = self._lists_by_pos
         ev_size = self._ev_size
@@ -260,10 +228,9 @@ class CompiledRuleSet:
                             frontier.append(rule_id)
         if frontier is None:
             return None
-        # The historical fast_repair seeded Γ in ascending rule-id
-        # order (a dense counter scan); match it exactly so the chase
-        # order — hence the result, even on an inconsistent Σ — is
-        # identical across every driver.
+        # The reference fast_repair seeds Γ in ascending rule-id order
+        # (a dense counter scan); match it exactly so the chase order —
+        # hence the result, even on an inconsistent Σ — is identical.
         frontier.sort()
 
         current: List[str] = list(values)
@@ -285,7 +252,7 @@ class CompiledRuleSet:
             # Evidence re-check: the counter says the pattern matched
             # at completion time, but a later application may have
             # rewritten an evidence cell — properly_applicable() in the
-            # Row-level path re-reads the tuple, and so must we.
+            # reference fast_repair re-reads the tuple, and so must we.
             ok = True
             for pos, value in self._ev_pos[rule_id]:
                 if current[pos] != value:
@@ -320,11 +287,8 @@ class CompiledRuleSet:
         classic :class:`~repro.core.repair.RepairResult` (the input is
         never mutated)."""
         from .repair import RepairResult
-        if self._instrumented:
-            return self._repair_row_instrumented(row)
-        # Copy through the row's own hook first — the historical
-        # contract (fast_repair always began with row.copy()) that Row
-        # subclasses and the error-policy tests rely on.
+        # Copy through the row's own hook first, as fast_repair does:
+        # Row subclasses and the error-policy tests rely on it.
         current = row.copy()
         outcome = self.repair_values(current._cells)
         if outcome is None:
@@ -335,66 +299,6 @@ class CompiledRuleSet:
         return RepairResult(Row.from_trusted(row.schema, new_values),
                             self.expand_applied(applied),
                             self.assured_for(applied))
-
-    def _repair_row_instrumented(self, row: Row) -> "RepairResult":
-        """The ``Row``-level executor for instrumented rule sets.
-
-        Same frontier discipline as :meth:`repair_values` (positional
-        seeding, LIFO drain), but applicability runs through
-        :func:`~repro.core.matching.properly_applicable` and
-        application through ``rule.apply_in_place`` — so overridden
-        ``matches`` implementations are examined exactly as often as
-        the historical ``fast_repair`` examined them.
-        """
-        from .repair import AppliedFix, RepairResult
-        ENGINE_STATS.rows_repaired += 1
-        current = row.copy()
-        cells = current._cells
-        assured: set = set()
-        applied: List[AppliedFix] = []
-        lists_by_pos = self._lists_by_pos
-        ev_size = self._ev_size
-        counts: Dict[int, int] = {}
-        frontier: List[int] = []
-        for pos in range(self._nattrs):
-            hits = lists_by_pos[pos].get(cells[pos])
-            if hits:
-                for rule_id in hits:
-                    count = counts.get(rule_id, 0) + 1
-                    counts[rule_id] = count
-                    if count == ev_size[rule_id]:
-                        frontier.append(rule_id)
-        frontier.sort()
-        in_frontier = set(frontier)
-        checked: set = set()
-        while frontier:
-            rule_id = frontier.pop()
-            in_frontier.discard(rule_id)
-            checked.add(rule_id)
-            rule = self.rules[rule_id]
-            if not properly_applicable(rule, current, assured):
-                continue
-            target = self._b_pos[rule_id]
-            old = cells[target]
-            rule.apply_in_place(current)
-            assured.update(rule.touched_attrs)
-            applied.append(AppliedFix(rule, rule.attribute, old, rule.fact))
-            fact = cells[target]
-            hit_lists = lists_by_pos[target]
-            hits = hit_lists.get(old)
-            if hits:
-                for other in hits:
-                    counts[other] = counts.get(other, 0) - 1
-            hits = hit_lists.get(fact)
-            if hits:
-                for other in hits:
-                    count = counts.get(other, 0) + 1
-                    counts[other] = count
-                    if (count == ev_size[other] and other not in checked
-                            and other not in in_frontier):
-                        frontier.append(other)
-                        in_frontier.add(other)
-        return RepairResult(current, tuple(applied), frozenset(assured))
 
     # -- provenance rehydration ----------------------------------------------
 
@@ -431,9 +335,8 @@ def compile_ruleset(rules: RuleInput,
 
     A ``RuleSet`` caches its compiled form in ``_compiled`` (cleared by
     every mutating method), so the second and later compilations of an
-    unchanged Σ are free.  Plain sequences are compiled per call —
-    exactly the cost the historical per-call ``InvertedIndex`` build
-    paid — and need an explicit *schema*.
+    unchanged Σ are free.  Plain sequences are compiled per call and
+    need an explicit *schema*.
     """
     if isinstance(rules, RuleSet):
         cached = rules._compiled

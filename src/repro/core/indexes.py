@@ -1,6 +1,9 @@
 """Index structures for the fast repair algorithm (Section 6.2).
 
-Two structures back ``lRepair``:
+Two structures back :func:`~repro.core.repair.fast_repair`, the
+``Row``-level lRepair that the compiled engine
+(:mod:`repro.core.engine`, which re-keys the same inverted lists by
+column position) is checked against:
 
 * **Inverted lists** (:class:`InvertedIndex`): a mapping from a key
   ``(A, a)`` — attribute and constant — to the rules φ with
@@ -31,7 +34,7 @@ class InvertedIndex:
     >>> # pattern constrains country to China
     """
 
-    __slots__ = ("_lists", "_rules", "_evidence_sizes", "_compiled")
+    __slots__ = ("_lists", "_rules", "_evidence_sizes")
 
     def __init__(self, rules: Iterable[FixingRule]):
         self._rules: Tuple[FixingRule, ...] = tuple(rules)
@@ -41,10 +44,6 @@ class InvertedIndex:
         for rule_id, rule in enumerate(self._rules):
             for attr, value in rule.evidence.items():
                 self._lists.setdefault((attr, value), []).append(rule_id)
-        # Memoized CompiledRuleSet for the legacy fast_repair(index=...)
-        # path (see repro.core.engine); the rule tuple is immutable, so
-        # the compilation can never go stale.
-        self._compiled = None
 
     @property
     def rules(self) -> Tuple[FixingRule, ...]:
@@ -74,10 +73,9 @@ class HashCounters:
     """Per-tuple evidence counters ``c(φ)`` over an :class:`InvertedIndex`.
 
     The lifecycle per tuple is: :meth:`reset_for`, then
-    :meth:`on_update` after every cell rewrite.  :meth:`complete_ids`
-    and the return value of :meth:`on_update` surface the rules whose
-    evidence just became fully matched — the candidates fed into the
-    lRepair frontier Γ.
+    :meth:`on_update` after every cell rewrite.  The return values of
+    both surface the rules whose evidence just became fully matched —
+    the candidates fed into the lRepair frontier Γ.
     """
 
     __slots__ = ("_index", "_counts")
@@ -85,6 +83,11 @@ class HashCounters:
     def __init__(self, index: InvertedIndex):
         self._index = index
         self._counts: List[int] = [0] * len(index.rules)
+
+    @property
+    def index(self) -> InvertedIndex:
+        """The inverted index the counters are keyed by."""
+        return self._index
 
     def reset_for(self, row: Row) -> List[int]:
         """Initialize counters for *row*; return fully-matched rule ids.

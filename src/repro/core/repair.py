@@ -6,14 +6,16 @@ Two tuple-level algorithms plus a table-level driver:
   chase: repeatedly scan the unused rules, properly apply any that
   fires, until a fixpoint.  ``O(size(Σ)·|R|)`` per tuple.
 * :func:`fast_repair` — ``lRepair`` (Fig. 7).  ``O(size(Σ))`` per
-  tuple: each rule is examined at most ``|X_φ| + 1`` times.  Since the
-  engine consolidation this is a thin adapter over
-  :class:`repro.core.engine.CompiledRuleSet` — the same compiled hot
-  path every other driver (table, streaming, daemon) executes.
+  tuple: each rule is examined at most ``|X_φ| + 1`` times.  It runs
+  on the paper's own structures — the inverted lists and hash counters
+  of :mod:`repro.core.indexes` — over ``Row`` objects, and stays the
+  reference the compiled engine (:mod:`repro.core.engine`) is checked
+  against.
 * :func:`repair_table` — applies either algorithm to every row of a
   table, collecting a :class:`TableRepairReport` with full provenance
   (which rule rewrote which cell from what to what).  The fast path
-  compiles Σ once and chases raw cell lists.
+  runs the compiled engine: Σ is compiled once and raw cell lists are
+  chased.
 
 Both algorithms implement the *proper application* discipline of
 Section 3.2: applying φ rewrites ``t[B_φ] := tp+[B_φ]`` and marks
@@ -31,7 +33,7 @@ from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
 
 from ..errors import InconsistentRulesError
 from ..relational import Row, Table
-from .engine import CompiledRuleSet, compile_for_schema
+from .engine import compile_for_schema
 from .indexes import HashCounters, InvertedIndex
 from .matching import properly_applicable
 from .rule import FixingRule
@@ -124,59 +126,63 @@ def chase_repair(row: Row, rules: RuleInput,
 
 def fast_repair(row: Row, rules: RuleInput,
                 index: Optional[InvertedIndex] = None,
-                counters: Optional[HashCounters] = None,
-                backend: str = "row") -> RepairResult:
-    """``lRepair`` (Fig. 7): repair *row* through the compiled engine.
+                counters: Optional[HashCounters] = None) -> RepairResult:
+    """``lRepair`` (Fig. 7): repair *row* using inverted lists + counters.
 
     Parameters
     ----------
     row:
         The tuple to repair; not mutated.
     rules:
-        A consistent set Σ.  Pass a :class:`~repro.core.ruleset.
-        RuleSet` when repairing many tuples — its compiled form is
-        memoized, so the ``O(size(Σ))`` compilation is paid once.
-        Ignored when *index* is given except that they should describe
-        the same Σ.
+        A consistent set Σ.  Ignored when *index* or *counters* is
+        given, except that they should describe the same Σ.
     index:
-        A prebuilt :class:`InvertedIndex` over Σ (the historical
-        amortization vehicle).  The compiled engine supersedes it —
-        the index now merely memoizes a
-        :class:`~repro.core.engine.CompiledRuleSet` on first use —
-        but the parameter keeps working for existing callers.
+        A prebuilt :class:`InvertedIndex` over Σ.  Build it once per
+        rule set when repairing many tuples — that amortization is the
+        point of the algorithm.  The index is never modified.
     counters:
-        Accepted for backward compatibility and unused: the engine
-        keeps its evidence counters in a per-row dict, so there is no
-        reusable counter state to share.
-    backend:
-        ``"row"`` (default, also what ``"auto"`` resolves to for a
-        single tuple) runs the compiled per-row engine;
-        ``"columnar"`` routes through the dictionary-encoded bulk
-        engine (:mod:`repro.core.columnar`) — same
-        :class:`RepairResult` by theorem and by the differential
-        harness, mainly useful for pinning a backend in tests.
+        A reusable :class:`HashCounters`; it brings its own index,
+        which then replaces *index*.  One is created when omitted.
 
-    Each rule enters the frontier Γ at most once (when its evidence
-    counter completes) and leaves permanently once examined, applied or
-    not — see the correctness argument accompanying Fig. 7.
+    The frontier Γ is seeded in ascending rule id and drained LIFO, the
+    order the compiled engine uses, so both give the same cells,
+    provenance and assured set even on an inconsistent Σ.  Each rule
+    enters Γ at most once (when its evidence counter completes) and
+    leaves permanently once examined, applied or not — see the
+    correctness argument accompanying Fig. 7.
     """
-    del counters  # superseded by the engine's per-row counter dict
-    if backend not in VALID_BACKENDS:
-        raise ValueError(
-            "unknown backend %r; valid choices are %s"
-            % (backend, ", ".join(repr(b) for b in VALID_BACKENDS)))
-    if backend == "columnar":
-        from .columnar import columnar_repair_table
-        report = columnar_repair_table(
-            Table.from_trusted_rows(row.schema, [row]), rules)
-        return report.row_results[0]
-    if index is not None:
-        compiled = index._compiled
-        if compiled is None or not compiled.compatible_with(row.schema):
-            compiled = CompiledRuleSet(row.schema, list(index.rules))
-            index._compiled = compiled
-        return compiled.repair_row(row)
-    return compile_for_schema(row.schema, rules).repair_row(row)
+    if counters is None:
+        if index is None:
+            index = InvertedIndex(_as_rule_list(rules))
+        counters = HashCounters(index)
+    index = counters.index
+
+    current = row.copy()
+    assured: Set[str] = set()
+    applied: List[AppliedFix] = []
+
+    frontier: List[int] = counters.reset_for(current)
+    in_frontier: Set[int] = set(frontier)
+    checked: Set[int] = set()
+
+    while frontier:
+        rule_id = frontier.pop()
+        in_frontier.discard(rule_id)
+        checked.add(rule_id)
+        rule = index.rules[rule_id]
+        if not properly_applicable(rule, current, assured):
+            continue  # removed once and for all (Fig. 7, line 16)
+        old = current[rule.attribute]
+        rule.apply_in_place(current)
+        assured.update(rule.touched_attrs)
+        applied.append(AppliedFix(rule, rule.attribute, old, rule.fact))
+        for newly_complete in counters.on_update(rule.attribute, old,
+                                                 rule.fact):
+            if (newly_complete not in checked
+                    and newly_complete not in in_frontier):
+                frontier.append(newly_complete)
+                in_frontier.add(newly_complete)
+    return RepairResult(current, tuple(applied), frozenset(assured))
 
 
 class TableRepairReport:
@@ -243,7 +249,7 @@ class TableRepairReport:
 #: Algorithm names accepted by :func:`repair_table`.
 VALID_ALGORITHMS = ("fast", "chase")
 
-#: Backend names accepted by :func:`repair_table` / :func:`fast_repair`.
+#: Backend names accepted by :func:`repair_table`.
 #: ``"row"`` is the compiled per-row engine; ``"columnar"`` is the
 #: dictionary-encoded bulk engine (:mod:`repro.core.columnar`);
 #: ``"auto"`` picks columnar for large tables and row otherwise.
@@ -274,9 +280,8 @@ def repair_table(table: Table, rules: RuleInput, algorithm: str = "fast",
         intersections (:mod:`repro.core.columnar`) — same output,
         proven cell-for-cell by the differential harness; ``"auto"``
         (default) picks columnar for fast repairs of at least
-        :data:`~repro.core.columnar.COLUMNAR_AUTO_THRESHOLD` rows
-        when Σ is not instrumented, row otherwise.
-        ``backend="columnar"`` with
+        :data:`~repro.core.columnar.COLUMNAR_AUTO_THRESHOLD` rows,
+        row otherwise.  ``backend="columnar"`` with
         ``algorithm="chase"`` raises :class:`ValueError` — the
         columnar candidate detector is an lRepair-shaped engine.
     """
@@ -307,27 +312,17 @@ def repair_table(table: Table, rules: RuleInput, algorithm: str = "fast",
         from .columnar import COLUMNAR_AUTO_THRESHOLD, columnar_repair_table
         if backend == "columnar" or (
                 backend == "auto"
-                and len(table) >= COLUMNAR_AUTO_THRESHOLD
-                and not compile_for_schema(table.schema, rules).instrumented):
+                and len(table) >= COLUMNAR_AUTO_THRESHOLD):
             return columnar_repair_table(table, rules)
         # One compiled Σ for the whole table; the chase runs over raw
         # cell lists and rows are rebuilt through the trusted
         # constructor.
         compiled = compile_for_schema(table.schema, rules)
-        if compiled.instrumented:
-            repaired_rows: List[Row] = []
-            for row in table:
-                result = compiled.repair_row(row)
-                results.append(result)
-                repaired_rows.append(result.row)
-            return TableRepairReport(
-                Table.from_trusted_rows(table.schema, repaired_rows),
-                results)
         schema = table.schema
         from_trusted = Row.from_trusted
         empty_applied: Tuple[AppliedFix, ...] = ()
         empty_assured: FrozenSet[str] = frozenset()
-        repaired_rows = []
+        repaired_rows: List[Row] = []
         repair_values = compiled.repair_values
         for row in table:
             outcome = repair_values(row._cells)

@@ -318,9 +318,8 @@ def _columnar_chunk_stream(compiled: CompiledRuleSet, records,
     :data:`~repro.core.columnar.COLUMNAR_AUTO_THRESHOLD` rows is
     dictionary-encoded and only the kernel's candidate rows enter the
     chase (the rest are provably fixpoints, see
-    :mod:`repro.core.columnar`); shorter chunks, and every chunk of an
-    instrumented Σ, are chased row by row — the routing rule of
-    ``repair_table(backend="auto")``.
+    :mod:`repro.core.columnar`); shorter chunks are chased row by row —
+    the routing rule of ``repair_table(backend="auto")``.
     """
     repair_values = compiled.repair_values
     kernel = None
@@ -328,8 +327,7 @@ def _columnar_chunk_stream(compiled: CompiledRuleSet, records,
     for chunk in iter(lambda: list(islice(records, chunk_size)), []):
         rows = [k for k, (_line, item) in enumerate(chunk)
                 if not isinstance(item, RowError)]
-        if (len(rows) >= columnar.COLUMNAR_AUTO_THRESHOLD
-                and not compiled.instrumented):
+        if len(rows) >= columnar.COLUMNAR_AUTO_THRESHOLD:
             if kernel is None:
                 kernel = columnar.ColumnarKernel(compiled)
             candidates = kernel.candidate_indices(

@@ -15,6 +15,8 @@ examined.  Correctness claim: the conflict list — order included — is
   conflict;
 * a disjoint corpus where no pair can interact, so blocking prunes
   everything and must emit no false positives;
+* the seed-rule Σ of the HOSP protocol, where blocking must examine at
+  most a tenth of the pairs and still emit every conflict;
 * the verdict cache: one check per Σ fingerprint per process, shared
   by every repair driver and backend.
 """
@@ -29,7 +31,10 @@ from repro.core import (FixingRule, RepairSession, RuleSet,
                         engine_stats, find_conflicts, find_conflicts_cached,
                         repair_table, reset_engine_stats)
 from repro.core.consistency import Conflict
+from repro.datagen import (constraint_attributes, generate_hosp, hosp_fds,
+                           inject_noise)
 from repro.relational import Schema, Table
+from repro.rulegen.seeds import generate_seed_rules
 
 ATTRS = ("a", "b", "c", "d")
 VALUES = ("0", "1", "2")
@@ -165,6 +170,26 @@ class TestAdversarialCorpora:
     def test_invalid_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
             find_conflicts([], strategy="nope")
+
+
+class TestSeedRuleHosp:
+    """Blocking on the Σ the Section 7 protocol writes for HOSP: seed
+    rules from FD violations of a noisy table (seed 7, 8% noise)."""
+
+    def test_pairs_pruned_on_seed_rules(self):
+        clean = generate_hosp(rows=2_000, seed=7)
+        noise = inject_noise(clean, constraint_attributes(hosp_fds()),
+                             noise_rate=0.08, typo_ratio=0.5, seed=7)
+        rule_list = generate_seed_rules(clean, noise.table,
+                                        hosp_fds()).rules()
+        total = len(rule_list) * (len(rule_list) - 1) // 2
+        reset_engine_stats()
+        blocked = find_conflicts(rule_list, strategy="blocked")
+        stats = engine_stats()
+        pairwise = find_conflicts(rule_list, strategy="pairwise")
+        assert [_key(c) for c in blocked] == [_key(c) for c in pairwise]
+        assert stats["pairs_examined"] + stats["pairs_pruned"] == total
+        assert stats["pairs_examined"] <= total // 10
 
 
 class TestVerdictCache:

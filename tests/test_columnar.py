@@ -21,8 +21,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (FixingRule, RuleSet, ensure_consistent, fast_repair,
-                        repair_table)
+from repro.core import (FixingRule, MatchCounter, RuleSet, counting_rules,
+                        ensure_consistent, fast_repair, repair_table)
 from repro.core.columnar import (ColumnarKernel, ColumnarTable,
                                  columnar_repair_table, numpy_available)
 from repro.core.engine import compile_for_schema
@@ -145,15 +145,18 @@ class TestBackendEquivalence:
     @settings(max_examples=100, deadline=None)
     @given(consistent_rulesets(), tables())
     def test_fast_repair_backend_param(self, ruleset, table):
-        for row in table:
-            via_row = fast_repair(row, ruleset)
-            via_columnar = fast_repair(row, ruleset, backend="columnar")
-            assert via_columnar.row.values == via_row.row.values
-            assert via_columnar.assured == via_row.assured
-            assert [(f.rule.name, f.attribute, f.old_value, f.new_value)
-                    for f in via_columnar.applied] == \
-                [(f.rule.name, f.attribute, f.old_value, f.new_value)
-                 for f in via_row.applied]
+        """Per row, the Fig. 7 reference ``fast_repair`` equals the
+        columnar backend: cells, assured set, provenance in order."""
+        for mode in MODES:
+            report = columnar_repair_table(table, ruleset, use_numpy=mode)
+            for row, via_columnar in zip(table, report.row_results):
+                via_row = fast_repair(row, ruleset)
+                assert via_columnar.row.values == via_row.row.values
+                assert via_columnar.assured == via_row.assured
+                assert [(f.rule.name, f.attribute, f.old_value,
+                         f.new_value) for f in via_columnar.applied] == \
+                    [(f.rule.name, f.attribute, f.old_value, f.new_value)
+                     for f in via_row.applied]
 
 
 class TestPermutationInvariance:
@@ -178,13 +181,22 @@ class TestPermutationInvariance:
 
 class TestKernelContract:
 
-    def test_instrumented_rules_rejected(self):
-        from repro.core.instrumentation import MatchCounter, counting_rules
-        ruleset = RuleSet(SCHEMA, [FixingRule({"a": "0"}, "b", ["1"], "2")])
-        counted = counting_rules(ruleset.rules(), MatchCounter())
-        compiled = compile_for_schema(SCHEMA, counted)
-        with pytest.raises(ValueError):
-            ColumnarKernel(compiled)
+    @settings(max_examples=100, deadline=None)
+    @given(consistent_rulesets(), tables())
+    def test_instrumented_rules_rejected(self, ruleset, table):
+        """Counting rules compile like plain ones: the kernel accepts
+        them, its candidates are exactly the rows the Fig. 7 reference
+        changes, and the scan never calls ``matches``."""
+        counter = MatchCounter()
+        counted = counting_rules(ruleset.rules(), counter)
+        kernel = ColumnarKernel(compile_for_schema(SCHEMA, counted))
+        changed = {i for i, row in enumerate(table)
+                   if fast_repair(row, counted).changed}
+        counter.reset()
+        for mode in MODES:
+            ctable = ColumnarTable.from_table(table, use_numpy=mode)
+            assert set(kernel.candidate_indices(ctable)) == changed
+        assert counter.checks == 0
 
     def test_use_numpy_true_without_numpy(self):
         if numpy_available():

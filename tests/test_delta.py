@@ -6,8 +6,9 @@ snapshot → validate → apply → audit staging, the incremental == full
 re-repair property (both directed cases and a Hypothesis property over
 random operation interleavings), the delta-aware streaming adapter,
 the ``repro delta`` / ``repro audit`` commands, the columnar
-auto-threshold override (env var + CLI flag), and the
-``ConsistentRuleSet`` fingerprint-invalidation regression.
+auto-threshold override (env var + CLI flag), the columnar bulk load
+over counting rules, and the ``ConsistentRuleSet``
+fingerprint-invalidation regression.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.core import (ColumnarRepairReport, DeltaError, DeltaOutcome,
-                        DeltaRepairSession, FixingRule, RuleSet,
-                        audit_correction_log, ensure_consistent,
-                        iter_log_records, repair_delta_stream, repair_table,
+                        DeltaRepairSession, FixingRule, MatchCounter,
+                        RuleSet, audit_correction_log, counting_rules,
+                        ensure_consistent, iter_log_records,
+                        repair_delta_stream, repair_table,
                         replay_correction_log, save_ruleset)
 from repro.core.incremental import ConsistentRuleSet
 from repro.core.resolution import DROP_CONFLICTING
@@ -493,6 +495,48 @@ class TestColumnarThreshold:
         assert isinstance(routed, ColumnarRepairReport)
         assert [row.values for row in routed.table] == \
             [row.values for row in small.table]
+
+
+class TestCountingRulesBulkLoad:
+    """A bulk load over counting rules (rule subclasses overriding
+    ``matches``) takes the columnar scan like any Σ."""
+
+    @pytest.fixture()
+    def loaded(self, monkeypatch):
+        from repro.core import engine_stats
+        from repro.core.columnar import (COLUMNAR_AUTO_THRESHOLD,
+                                         ColumnarKernel)
+        scanned = []
+        scan = ColumnarKernel.candidate_indices
+
+        def spy(kernel, ctable):
+            scanned.append(ctable.n_rows)
+            return scan(kernel, ctable)
+
+        monkeypatch.setattr(ColumnarKernel, "candidate_indices", spy)
+        ruleset = RuleSet(SCHEMA, counting_rules(
+            [FixingRule({"a": "1"}, "b", {"0"}, "2")], MatchCounter()))
+        # one row in four fires the rule; the scan prunes the rest
+        rows = [("r%d" % i, ["1" if i % 4 == 0 else "0", "0", "0", "0"])
+                for i in range(COLUMNAR_AUTO_THRESHOLD)]
+        before = engine_stats()["rows_repaired"]
+        session = DeltaRepairSession(ruleset, rows=rows)
+        repaired = engine_stats()["rows_repaired"] - before
+        yield session, ruleset, rows, scanned, repaired
+        session.close()
+
+    def test_loads_through_columnar_scan(self, loaded):
+        session, ruleset, rows, scanned, _ = loaded
+        assert scanned == [len(rows)]
+        assert session.self_check() == []
+        expected = repair_table(Table(SCHEMA, [v for _rid, v in rows]),
+                                ruleset, backend="row")
+        assert session_cells(session) == \
+            [list(row.values) for row in expected.table]
+
+    def test_pruned_rows_counted_as_repaired(self, loaded):
+        _, _, rows, _, repaired = loaded
+        assert repaired == len(rows)
 
 
 # -- satellite: ConsistentRuleSet fingerprint invalidation -------------------

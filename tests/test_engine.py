@@ -1,15 +1,16 @@
 """The compiled rule engine: compilation, caching, and the single-path
 guarantee.
 
-Covers the engine-consolidation PR:
+Covers:
 
-* CompiledRuleSet repairs exactly like the historical algorithms
+* CompiledRuleSet repairs exactly like the reference algorithms
   (chase/fast) on the paper's running example;
 * compilation is memoized on RuleSet and invalidated by mutation;
 * fingerprints are stable content hashes (name-independent,
   order-sensitive);
-* instrumented rule sets (overridden ``matches``) still run through
-  the Row-level executor so examination counting keeps meaning;
+* rule subclasses that override ``matches`` (the counting wrappers)
+  compile from their data like plain rules: the engine never calls
+  ``matches``, only the Fig. 7 reference ``fast_repair`` counts;
 * ``repair_table(algorithm="chase")`` runs the chase on every backend
   setting — proven on the Example 8 pair where chase and lRepair
   genuinely diverge;
@@ -21,7 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import columnar
-from repro.core import (CompiledRuleSet, FixingRule,
+from repro.core import (CompiledRuleSet, FixingRule, HashCounters,
                         InvertedIndex, MatchCounter, RuleSet,
                         chase_repair, compile_for_schema, compile_ruleset,
                         counting_rules, engine_stats, fast_repair,
@@ -129,13 +130,20 @@ class TestCompileMemoization:
         assert after["rulesets_compiled"] == before["rulesets_compiled"]
 
     def test_legacy_index_path_memoizes(self, r2, r4, paper_rules):
+        """One shared index and counter block serve the reference
+        lRepair across tuples, agree with the engine, and leave the
+        index as built."""
         index = InvertedIndex(paper_rules.rules())
-        assert fast_repair(r2, paper_rules,
-                           index=index).row["capital"] == "Beijing"
-        compiled = index._compiled
-        assert isinstance(compiled, CompiledRuleSet)
-        fast_repair(r4, paper_rules, index=index)
-        assert index._compiled is compiled
+        counters = HashCounters(index)
+        lists = {key: list(index.lookup(*key)) for key in index.keys()}
+        compiled = compile_ruleset(paper_rules)
+        for row, capital in ((r2, "Beijing"), (r4, "Ottawa")):
+            result = fast_repair(row, paper_rules, index=index,
+                                 counters=counters)
+            assert result.row["capital"] == capital
+            assert result == compiled.repair_row(row)
+        assert {key: list(index.lookup(*key))
+                for key in index.keys()} == lists
 
 
 class TestFingerprint:
@@ -167,16 +175,31 @@ class TestFingerprint:
 class TestInstrumentedRules:
     def test_detected_and_counted(self, travel_schema, travel_data,
                                   paper_rules):
+        """The Fig. 7 reference examines the wrapped rules through
+        ``matches``; the engine repairs the same way without a call."""
         counter = MatchCounter()
         wrapped = counting_rules(paper_rules.rules(), counter)
-        compiled = CompiledRuleSet(travel_schema, wrapped)
-        assert compiled.instrumented
-        result = compiled.repair_row(travel_data[1])
-        assert result.row["capital"] == "Beijing"
+        expected = fast_repair(travel_data[1], wrapped)
+        assert expected.row["capital"] == "Beijing"
         assert counter.checks > 0
+        counter.reset()
+        result = CompiledRuleSet(travel_schema, wrapped).repair_row(
+            travel_data[1])
+        assert result.row == expected.row
+        assert counter.checks == 0
 
-    def test_plain_rules_not_instrumented(self, paper_rules):
-        assert not compile_ruleset(paper_rules).instrumented
+    def test_plain_rules_not_instrumented(self, monkeypatch, travel_schema,
+                                          travel_data, paper_rules):
+        """Counting rules take the columnar route of
+        ``backend="auto"`` like any Σ and match the reference."""
+        monkeypatch.setattr(columnar, "COLUMNAR_AUTO_THRESHOLD", 1)
+        wrapped = RuleSet(travel_schema,
+                          counting_rules(paper_rules.rules(),
+                                         MatchCounter()))
+        report = repair_table(travel_data, wrapped, backend="auto")
+        assert isinstance(report, columnar.ColumnarRepairReport)
+        assert report.row_results == [fast_repair(row, wrapped)
+                                      for row in travel_data]
 
     def test_instrumented_equivalent(self, travel_data, travel_schema,
                                      paper_rules):
