@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-fault test-differential test-columnar test-serve test-delta test-discovery test-durability bench bench-serve bench-delta bench-discovery results examples clean
+.PHONY: install test test-fault test-differential test-columnar test-serve test-delta test-discovery test-durability bench bench-serve bench-discovery results examples clean
 
 install:
 	$(PY) setup.py develop
@@ -72,12 +72,6 @@ bench:
 # ARGS=--smoke for the <10s CI configuration).
 bench-serve:
 	$(PY) benchmarks/bench_serve.py $(ARGS)
-
-# Incremental vs full re-repair; writes BENCH_delta.json and exits
-# nonzero if the 1% row-delta leg wins by less than 10x (pass
-# ARGS=--smoke for the seconds-long CI configuration, gate disabled).
-bench-delta:
-	$(PY) benchmarks/bench_delta.py $(ARGS)
 
 # Discovery throughput + dependability on the 500K-row noisy HOSP
 # workload; writes BENCH_discovery.json and exits nonzero on any Σ

@@ -47,7 +47,9 @@ pin):
 Every cell change — during the initial bulk load or any delta — is
 appended to a replayable JSONL **correction log** carrying row id,
 attribute, old → new, the applying rule's name and content
-fingerprint, the matched evidence tuple, and the session/epoch, with
+fingerprint, the matched evidence tuple, and the session/epoch.  One
+delta's records are appended together, in one write that either
+lands whole or is cut back (:class:`CorrectionLog`), with
 ``create_snapshot → validate_snapshot → apply → generate_audit_report``
 stages so an operator can checkpoint, verify integrity, mutate, and
 account for every correction.  :func:`replay_correction_log` rebuilds
@@ -127,12 +129,14 @@ def _rule_fp(rule: FixingRule) -> str:
 class CorrectionLog:
     """Append-only JSONL sink for correction records.
 
-    With a *path* the log is written line-buffered to disk (appending,
-    so a session resumed onto an existing log continues it); without
-    one records accumulate in memory — same replay semantics either
-    way.  With ``fsync=True`` every :meth:`flush` also forces the
-    records to stable storage — the write-ahead discipline the serve
-    daemon needs before acknowledging a delta.
+    :meth:`append` buffers; :meth:`flush` appends the buffered records
+    in one :func:`~repro.durability.faults.durable_append`, so a
+    delta's records land together or not at all.  With a *path* the
+    log appends to that file (a session resumed onto an existing log
+    continues it); without one records accumulate in memory — same
+    replay semantics either way.  With ``fsync=True`` every flush also
+    forces the records to stable storage — the write-ahead discipline
+    the serve daemon needs before acknowledging a delta.
     """
 
     def __init__(self, path: Optional[Union[str, Path]] = None, *,
@@ -141,49 +145,50 @@ class CorrectionLog:
         self.fsync = fsync
         self.records_written = 0
         self._memory: List[dict] = []
+        self._pending: list = []
         self._fh = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh = open(self.path, "ab")
 
     def append(self, record: dict) -> None:
+        """Buffer *record* (encoded, for a file) for the next flush."""
         if self._fh is not None:
-            from ..durability.faults import durable_write
-            durable_write(self._fh,
-                          json.dumps(record, sort_keys=True,
-                                     separators=(",", ":")) + "\n",
-                          "correction_log.append")
-        else:
-            self._memory.append(record)
-        self.records_written += 1
+            record = json.dumps(record, sort_keys=True,
+                                separators=(",", ":"))
+        self._pending.append(record)
 
     def flush(self) -> None:
+        """Append the buffered records in one write, all or nothing."""
+        pending, self._pending = self._pending, []
+        if not pending:
+            return
         if self._fh is not None:
-            if self.fsync:
-                self.sync()
-            else:
-                self._fh.flush()
-
-    def sync(self) -> None:
-        """Flush and fsync (regardless of the ``fsync`` flag)."""
-        if self._fh is not None:
-            from ..durability.faults import durable_fsync
-            durable_fsync(self._fh, "correction_log.fsync")
+            from ..durability.faults import durable_append
+            durable_append(self._fh, ("\n".join(pending) + "\n").encode(),
+                           "correction_log.append",
+                           "correction_log.fsync" if self.fsync else None)
+        else:
+            self._memory.extend(pending)
+        self.records_written += len(pending)
 
     def close(self) -> None:
+        """Close the log; records not yet flushed are dropped."""
+        self._pending = []
         if self._fh is not None:
             self._fh.close()
             self._fh = None
 
     def records(self) -> List[dict]:
-        """Every record this process can see (memory or re-read file)."""
+        """Every flushed record (re-read from the file when there is one)."""
         if self.path is not None:
-            return list(iter_log_records(self.path))
+            return load_log_records(self.path)[0]
         return list(self._memory)
 
 
 def iter_log_records(source) -> Iterator[dict]:
-    """Yield correction-log records from a path, text, or iterable."""
+    """Yield delta events lazily from a path, text, or iterable (the
+    correction-log reader is :func:`load_log_records`)."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -295,6 +300,7 @@ class DeltaRepairSession:
                          "ts": round(time.time(), 3)})
         if rows is not None:
             self._load(rows, log_base=log_base)
+        self.log.flush()
 
     # -- construction helpers ---------------------------------------------
 
@@ -365,7 +371,6 @@ class DeltaRepairSession:
         repair = self._repair_one
         for rid in candidates:
             repair(rid, self._originals[rid], log=log_base)
-        self.log.flush()
 
     def _normalize_rows(self, rows) -> List[Tuple[str, List[str]]]:
         if isinstance(rows, Table):
@@ -896,35 +901,54 @@ class DeltaRepairSession:
 # -- log replay / audit ------------------------------------------------------
 
 def load_log_records(source) -> Tuple[List[dict], Optional[dict]]:
-    """Correction-log records plus torn-tail tolerance.
+    """The correction-log reader: ``(records, torn_tail)`` from a path
+    or an iterable of JSON lines / record dicts, each line parsed once.
 
-    Like :func:`iter_log_records`, but a partially-written **final**
-    record — what a crash mid-append leaves — is dropped with a logged
-    warning instead of raising, and reported as the second element
-    (``{"offset", "dropped_bytes", "reason"}``; ``None`` for a clean
-    log).  Corruption anywhere *before* the final record still raises
-    :class:`DeltaError`: that is storage damage, not a crash artifact.
+    A partially-written **final** record — what a crash mid-append
+    leaves — is dropped with a logged warning instead of raising, and
+    reported as *torn_tail* (``{"offset", "dropped_bytes", "reason"}``;
+    ``None`` for a clean log; for a path, ``offset`` is where recovery
+    cuts the file).  Corruption anywhere *before* the final record
+    raises :class:`DeltaError`: that is storage damage, not a crash
+    artifact.
     """
-    from ..durability.recovery import scan_jsonl_tail
-    from ..errors import DurabilityError
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             data = fh.read()
-        try:
-            offset, torn = scan_jsonl_tail(data)
-        except DurabilityError as exc:
-            raise DeltaError("correction log %s: %s" % (source, exc))
-        records = [json.loads(line) for line
-                   in data[:offset].decode("utf-8").splitlines()
-                   if line.strip()]
-        if torn is not None:
+        records: List[dict] = []
+        offset, size = 0, len(data)
+        while offset < size:
+            newline = data.find(b"\n", offset)
+            end = size if newline < 0 else newline + 1
+            line = data[offset:end]
+            if newline >= 0 and not line.strip():
+                offset = end
+                continue
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except ValueError:
+                reason = "final record is not valid JSON"
+            else:
+                if newline >= 0:
+                    records.append(record)
+                    offset = end
+                    continue
+                reason = "final record is missing its newline"
+            if end < size:
+                raise DeltaError(
+                    "correction log %s: JSONL corruption before the final "
+                    "record (offset %d): %s"
+                    % (source, offset, reason.replace("final ", "")))
+            torn = {"offset": offset, "dropped_bytes": size - offset,
+                    "reason": reason}
             logger.warning(
                 "correction log %s has a torn final record (%s); "
-                "ignoring %d trailing byte(s)", source, torn["reason"],
-                torn["dropped_bytes"])
-        return records, torn
+                "ignoring %d trailing byte(s)", source, reason,
+                size - offset)
+            return records, torn
+        return records, None
     items = list(source)
-    records: List[dict] = []
+    records = []
     for index, item in enumerate(items):
         if not isinstance(item, str):
             records.append(item)

@@ -11,8 +11,9 @@ the promise hold across process death and disk failure:
   snapshot-then-replay recovery;
 * :mod:`~repro.durability.recovery` — :class:`RecoveryManager`, which
   turns recovered state back into live registry entries and delta
-  sessions (re-hydrated by replaying their correction logs), plus the
-  ``repro recover --verify`` dry run;
+  sessions (each rebuilt from its correction log by
+  :func:`rehydrate_session`), plus the ``repro recover --verify`` dry
+  run;
 * :mod:`~repro.durability.faults` — :class:`DiskFaultInjector` and the
   named-fault-point I/O vocabulary every durable path in the repo is
   written against (``ENOSPC``, ``EIO``, short writes, failed fsync,
@@ -22,11 +23,10 @@ Standard library only, like the rest of the repo.
 """
 
 from .faults import (CrashPoint, DiskFaultInjector, FAULT_KINDS,
-                     FAULT_POINTS, atomic_replace_bytes, durable_fsync,
-                     durable_replace, durable_write, fsync_dir,
-                     installed_injector)
-from .recovery import RecoveryManager, scan_jsonl_tail, \
-    truncate_torn_jsonl, verify_state_dir
+                     FAULT_POINTS, atomic_replace_bytes, durable_append,
+                     durable_fsync, durable_replace, durable_write,
+                     fsync_dir, installed_injector)
+from .recovery import RecoveryManager, rehydrate_session, verify_state_dir
 from .store import StateStore, initial_state, reduce_record
 from .wal import TornTail, encode_frame, read_wal, scan_wal
 
@@ -39,6 +39,7 @@ __all__ = [
     "StateStore",
     "TornTail",
     "atomic_replace_bytes",
+    "durable_append",
     "durable_fsync",
     "durable_replace",
     "durable_write",
@@ -48,8 +49,7 @@ __all__ = [
     "installed_injector",
     "read_wal",
     "reduce_record",
-    "scan_jsonl_tail",
+    "rehydrate_session",
     "scan_wal",
-    "truncate_torn_jsonl",
     "verify_state_dir",
 ]

@@ -4,7 +4,7 @@ Every byte the system promises to keep — WAL frames, snapshots,
 checkpoints, correction-log lines, weights JSON, atomically-renamed
 outputs — flows through the small set of I/O
 helpers in this module (:func:`durable_write`, :func:`durable_fsync`,
-:func:`durable_replace`, :func:`fsync_dir`,
+:func:`durable_append`, :func:`durable_replace`, :func:`fsync_dir`,
 :func:`atomic_replace_bytes`).  Each call names a **fault point** from
 the :data:`FAULT_POINTS` catalogue; an installed
 :class:`DiskFaultInjector` can make any named point fail the way real
@@ -42,6 +42,7 @@ __all__ = [
     "FAULT_KINDS",
     "FAULT_POINTS",
     "atomic_replace_bytes",
+    "durable_append",
     "durable_fsync",
     "durable_replace",
     "durable_write",
@@ -210,6 +211,33 @@ def durable_fsync(handle, point: str) -> None:
     if injector is not None:
         injector.on_op(point)
     os.fsync(handle.fileno())
+
+
+def durable_append(handle, data: bytes, point: str,
+                   sync_point: Optional[str] = None) -> None:
+    """Append *data* to the binary append-mode *handle*, all or nothing.
+
+    The one append discipline of both durable logs (the state-store WAL
+    and the delta correction logs): write at *point*, then flush — or,
+    with *sync_point*, fsync there — before returning.  On ``OSError``
+    the file is cut back to its length before the call and the error
+    re-raises, so a refused append leaves no bytes behind for a later,
+    acknowledged append to land after.
+    """
+    start = handle.tell()
+    try:
+        durable_write(handle, data, point)
+        if sync_point is None:
+            handle.flush()
+        else:
+            durable_fsync(handle, sync_point)
+    except OSError:
+        try:
+            handle.truncate(start)
+            handle.seek(start)
+        except OSError:
+            pass  # the torn bytes stay; recovery cuts a torn tail
+        raise
 
 
 def durable_replace(src, dst, point: str) -> None:

@@ -8,20 +8,11 @@ which Σ versions, which delta sessions) back into *live* objects:
   :class:`~repro.serve.registry.RulesetRegistry` — same shadow-slot
   pipeline as an upload, minus new WAL records (recovery must be
   idempotent, not self-amplifying);
-* delta sessions re-hydrate from their JSONL correction logs: the
-  ``upsert``/``delete`` records reconstruct the base rows
-  (the acknowledged row population), a fresh
-  :class:`~repro.core.delta.DeltaRepairSession` re-repairs them under
-  the tenant's recovered Σ, and the full log replay
-  (:func:`~repro.core.delta.replay_correction_log`) cross-checks the
-  result.  A divergence means the crash interrupted an epoch whose
-  response was never sent; the session *rolls forward* to the
-  deterministic fixpoint and the divergence is reported, never
-  silently absorbed.
-
-A torn final line in a correction log (crash mid-append) is physically
-truncated — :func:`truncate_torn_jsonl` — with a logged warning before
-replay; by the write-ahead ordering it was never acknowledged.
+* delta sessions re-hydrate from their JSONL correction logs through
+  :func:`rehydrate_session`, the one rebuild path boot recovery,
+  ``repro recover --verify`` and the daemon's failed-delta handling
+  share.  A session whose log cannot be read is reported as a problem
+  of its tenant alone; the other tenants still recover.
 
 ``repro recover --verify`` drives :func:`verify_state_dir`: the same
 rebuild against throwaway targets, plus ``self_check()`` on every
@@ -30,79 +21,16 @@ recovered session, without mutating the state directory.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import tempfile
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from ..errors import DurabilityError
 from .store import StateStore
 
-__all__ = ["RecoveryManager", "truncate_torn_jsonl", "verify_state_dir"]
+__all__ = ["RecoveryManager", "rehydrate_session", "verify_state_dir"]
 
 logger = logging.getLogger("repro.durability")
-
-
-def scan_jsonl_tail(data: bytes) -> Tuple[int, Optional[dict]]:
-    """Trusted prefix of JSONL *data*: ``(offset, torn_tail_info)``.
-
-    A trusted line parses as JSON **and** is newline-terminated.  Only
-    the final line may fail (the torn tail a crash mid-append leaves);
-    an unparsable line elsewhere raises :class:`DurabilityError` —
-    that is storage corruption, not a crash artifact.
-    """
-    offset = 0
-    size = len(data)
-    while offset < size:
-        newline = data.find(b"\n", offset)
-        line = data[offset:newline] if newline >= 0 else data[offset:]
-        stripped = line.strip()
-        complete = newline >= 0
-        parses = True
-        if stripped:
-            try:
-                json.loads(stripped.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                parses = False
-        if complete and parses:
-            offset = newline + 1
-            continue
-        end_of_data = (newline < 0) or (newline + 1 >= size)
-        if parses and not complete:
-            reason = "final record is missing its newline"
-        else:
-            reason = "final record is not valid JSON"
-        if not end_of_data:
-            raise DurabilityError(
-                "JSONL corruption before the final record (offset %d): "
-                "%s" % (offset, reason.replace("final ", "")))
-        return offset, {"offset": offset,
-                        "dropped_bytes": size - offset,
-                        "reason": reason}
-    return size, None
-
-
-def truncate_torn_jsonl(path) -> Optional[dict]:
-    """Truncate a torn final line off a JSONL file; returns what was
-    dropped (or None when the file was clean)."""
-    path = os.fspath(path)
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except FileNotFoundError:
-        return None
-    offset, torn = scan_jsonl_tail(data)
-    if torn is None:
-        return None
-    logger.warning("correction log %s has a torn tail (%s); truncating "
-                   "%d unacknowledged byte(s) at offset %d",
-                   path, torn["reason"], torn["dropped_bytes"], offset)
-    with open(path, "r+b") as handle:
-        handle.truncate(offset)
-        handle.flush()
-        os.fsync(handle.fileno())
-    return torn
 
 
 def _originals_from_records(records) -> Dict[str, List[str]]:
@@ -115,6 +43,57 @@ def _originals_from_records(records) -> Dict[str, List[str]]:
         elif op == "delete":
             originals.pop(str(record["row"]), None)
     return originals
+
+
+def rehydrate_session(ruleset, log_path, session_id, *,
+                      durable: bool = True,
+                      dry_run: bool = False) -> Tuple[Any, Dict[str, Any]]:
+    """Rebuild one delta session from its correction log under *ruleset*.
+
+    The log's ``upsert``/``delete`` records give the acknowledged row
+    population; a fresh :class:`~repro.core.delta.DeltaRepairSession`
+    re-repairs it, keeps *session_id*, resumes at the log's last epoch
+    and appends to the same log.  A torn final record is first cut off
+    at the reader's offset: it was never acknowledged.  Rows whose
+    replayed log state differs from the fixpoint under *ruleset* (an
+    interrupted epoch, or a Σ swap whose records never landed) *roll
+    forward*: they are counted and re-logged as upserts of their own
+    originals, so the log replays to the session again.  With
+    *dry_run* the file is untouched and the session logs to memory.
+    Returns ``(session, info)``; raises
+    :class:`~repro.core.delta.DeltaError` on mid-file corruption.
+    """
+    from ..core.delta import (DeltaRepairSession, load_log_records,
+                              replay_correction_log)
+    records, torn = load_log_records(log_path)
+    if torn is not None and not dry_run:
+        with open(log_path, "r+b") as handle:
+            handle.truncate(torn["offset"])
+            os.fsync(handle.fileno())
+    _schema, replayed_rows, replay_report = replay_correction_log(records)
+    originals = _originals_from_records(records)
+    session = DeltaRepairSession(
+        ruleset, originals, log_path=None if dry_run else log_path,
+        log_base=False, check_consistency=False, session_id=session_id,
+        durable=durable and not dry_run)
+    session.epoch = max(session.epoch, int(replay_report["last_epoch"]))
+    rolled = [rid for rid, values in session.items()
+              if values != replayed_rows.get(rid)]
+    if rolled:
+        logger.warning(
+            "session %s: %d row(s) rolled forward past state its "
+            "correction log does not record", session_id, len(rolled))
+        if not dry_run:
+            session.apply_rows(upserts=[(rid, originals[rid])
+                                        for rid in rolled])
+    return session, {
+        "torn_tail": torn,
+        "rows": len(session),
+        "epoch": session.epoch,
+        "log_records": len(records),
+        "replay_mismatches": replay_report["mismatch_count"],
+        "rolled_forward": len(rolled),
+    }
 
 
 class RecoveryManager:
@@ -159,10 +138,8 @@ class RecoveryManager:
     def recover_delta_sessions(self, registry, sessions: Dict[str, Any],
                                report: Dict[str, Any], *,
                                dry_run: bool = False,
-                               durable_logs: bool = True,
                                self_check: bool = False) -> None:
-        from ..core.delta import (DeltaRepairSession, iter_log_records,
-                                  replay_correction_log)
+        from ..core.delta import DeltaError
         state = self.store.state()
         for tenant, info in sorted(state["delta_sessions"].items()):
             log_path = info.get("log_path")
@@ -183,47 +160,20 @@ class RecoveryManager:
                     "delta session for tenant %r: correction log %r is "
                     "missing" % (tenant, log_path))
                 continue
-            if dry_run:
-                with open(log_path, "rb") as handle:
-                    offset, torn = scan_jsonl_tail(handle.read())
-            else:
-                torn = truncate_torn_jsonl(log_path)
-            entry_report["torn_tail"] = torn
-            if dry_run and torn is not None:
-                records = self._trusted_records(log_path, torn["offset"])
-            else:
-                records = list(iter_log_records(log_path))
-            originals = _originals_from_records(records)
-            _schema, replayed_rows, replay_report = \
-                replay_correction_log(records)
-            session = DeltaRepairSession(
-                entry.ruleset, originals,
-                log_path=None if dry_run else log_path,
-                log_base=False, check_consistency=False,
-                session_id=info.get("session_id"),
-                durable=durable_logs and not dry_run)
-            session.epoch = max(session.epoch,
-                                int(replay_report.get("last_epoch", 0)))
-            rolled_forward = sum(
-                1 for rid in session.row_ids()
-                if session.row(rid) != replayed_rows.get(rid))
-            entry_report.update({
-                "rows": len(session),
-                "epoch": session.epoch,
-                "log_records": len(records),
-                "replay_mismatches": replay_report["mismatch_count"],
-                "rolled_forward": rolled_forward,
-            })
-            if replay_report["mismatch_count"]:
+            try:
+                session, summary = rehydrate_session(
+                    entry.ruleset, log_path, info.get("session_id"),
+                    dry_run=dry_run)
+            except (DeltaError, OSError) as exc:
+                report["problems"].append(
+                    "delta session for tenant %r failed to rebuild: "
+                    "%s: %s" % (tenant, type(exc).__name__, exc))
+                continue
+            entry_report.update(summary)
+            if summary["replay_mismatches"]:
                 report["problems"].append(
                     "tenant %r correction log replay found %d integrity "
-                    "mismatch(es)" % (tenant,
-                                      replay_report["mismatch_count"]))
-            if rolled_forward:
-                logger.warning(
-                    "tenant %r: %d row(s) rolled forward past an "
-                    "interrupted (unacknowledged) epoch during recovery",
-                    tenant, rolled_forward)
+                    "mismatch(es)" % (tenant, summary["replay_mismatches"]))
             if self_check:
                 problems = session.self_check()
                 entry_report["self_check"] = len(problems)
@@ -233,18 +183,10 @@ class RecoveryManager:
                         for line in problems[:5])
             sessions[tenant] = session
 
-    @staticmethod
-    def _trusted_records(log_path, offset: int) -> List[dict]:
-        from ..core.delta import iter_log_records
-        with open(log_path, "rb") as handle:
-            data = handle.read(offset)
-        text = data.decode("utf-8")
-        return list(iter_log_records(text.splitlines()))
-
     # -- the whole thing -----------------------------------------------------
 
     def rebuild(self, registry, sessions: Dict[str, Any], *,
-                dry_run: bool = False, durable_logs: bool = True,
+                dry_run: bool = False,
                 self_check: bool = False) -> Dict[str, Any]:
         """Recover everything; returns the recovery report."""
         report: Dict[str, Any] = {
@@ -258,7 +200,6 @@ class RecoveryManager:
         self.recover_registry(registry, report)
         self.recover_delta_sessions(registry, sessions, report,
                                     dry_run=dry_run,
-                                    durable_logs=durable_logs,
                                     self_check=self_check)
         report["ok"] = not report["problems"]
         return report

@@ -39,7 +39,9 @@ import zlib
 from typing import Any, Dict, List, Optional
 
 from ..errors import DurabilityError
-from .faults import atomic_replace_bytes, durable_fsync, durable_write, \
+# durable_fsync is not called here, but perfbench/trace.py wraps it
+# under this module's name
+from .faults import atomic_replace_bytes, durable_append, durable_fsync, \
     installed_injector
 from .wal import TornTail, encode_frame, read_wal
 
@@ -207,18 +209,8 @@ class StateStore:
             record = dict(fields)
             record["op"] = op
             record["seq"] = self.seq + 1
-            frame = encode_frame(record)
-            start = self._fh.tell()
-            try:
-                durable_write(self._fh, frame, "wal.append.write")
-                durable_fsync(self._fh, "wal.append.fsync")
-            except OSError:
-                try:
-                    self._fh.truncate(start)
-                    self._fh.seek(start)
-                except OSError:
-                    pass  # recovery truncates the torn frame instead
-                raise
+            durable_append(self._fh, encode_frame(record),
+                           "wal.append.write", "wal.append.fsync")
             self.seq = record["seq"]
             reduce_record(self._state, record)
             self._since_snapshot += 1

@@ -196,8 +196,7 @@ class RepairServer:
 
         def rebuild() -> dict:
             manager = RecoveryManager(self.state_store)
-            return manager.rebuild(self.registry, self._delta_sessions,
-                                   durable_logs=True)
+            return manager.rebuild(self.registry, self._delta_sessions)
 
         try:
             self.recovery_report = await loop.run_in_executor(None,
@@ -583,12 +582,33 @@ class RepairServer:
             raise HttpError(503, "state store write failed (%s); the "
                             "delta session was not opened" % exc)
 
+    def _rebuild_delta_session(self, tenant: str, entry: TenantRuleset,
+                               failed) -> DeltaRepairSession:
+        """Swap a session whose delta raised for one rebuilt from its log
+        under *entry*'s Σ: same id and log, so no new ``delta_open``.
+        The failed delta's records never reached the log."""
+        from ..durability import rehydrate_session
+        failed.close()
+        del self._delta_sessions[tenant]
+        session, _info = rehydrate_session(
+            entry.ruleset, failed.log.path, failed.session_id,
+            durable=self.state_store is not None)
+        self._delta_sessions[tenant] = session
+        return session
+
     def _delta_apply(self, tenant: str, entry: TenantRuleset,
                      upserts, deletes) -> dict:
         """Executor-side body of POST /repair/delta (holds the lock)."""
         with self._delta_lock:
             session = self._delta_session(tenant, entry)
-            outcome = session.apply_rows(upserts=upserts, deletes=deletes)
+            try:
+                outcome = session.apply_rows(upserts=upserts,
+                                             deletes=deletes)
+            except Exception as exc:
+                self._rebuild_delta_session(tenant, entry, session)
+                raise HttpError(503, "delta batch refused (%s: %s); "
+                                "nothing of it was logged or applied"
+                                % (type(exc).__name__, exc))
             changed = {rid: session.row(rid) for rid in outcome.affected}
             return {
                 "tenant": tenant,
@@ -676,9 +696,9 @@ class RepairServer:
 
         Diffs old vs. new Σ by rule signature and feeds
         ``apply_rules`` so only the affected slice re-repairs — the
-        incremental continuation of the shadow-slot swap.  Any
-        unexpected failure falls back to a full session rebuild from
-        the retained originals (correctness over cleverness).
+        incremental continuation of the shadow-slot swap.  If that
+        raises, the session is rebuilt from its correction log under
+        the new Σ (``"rebuilt": true``).
         """
         with self._delta_lock:
             session = self._delta_sessions.get(tenant)
@@ -695,34 +715,19 @@ class RepairServer:
                         "fingerprint": session.rules_fingerprint}
             try:
                 outcome = session.apply_rules(added=added, removed=removed)
-                return {"rows_rerepaired": len(outcome.affected),
-                        "epoch": outcome.epoch,
-                        "corrections": outcome.corrections,
-                        "reverts": outcome.reverts,
-                        "fingerprint": session.rules_fingerprint}
             except Exception as exc:
-                rows = [(rid, session.original(rid))
-                        for rid in session.row_ids()]
-                log_path = session.log.path
-                session.close()
-                rebuilt = DeltaRepairSession(
-                    entry.ruleset, rows, log_path=log_path,
-                    check_consistency=False,
-                    durable=self.state_store is not None)
-                try:
-                    self._log_delta_open(tenant, rebuilt, log_path,
-                                         entry.fingerprint)
-                except HttpError:
-                    # the old session is closed and the rebuilt one was
-                    # never acknowledged; drop the tenant's session
-                    self._delta_sessions.pop(tenant, None)
-                    raise
-                self._delta_sessions[tenant] = rebuilt
-                return {"rows_rerepaired": len(rows),
+                rebuilt = self._rebuild_delta_session(tenant, entry,
+                                                      session)
+                return {"rows_rerepaired": len(rebuilt),
                         "rebuilt": True,
                         "error": "%s: %s" % (type(exc).__name__, exc),
                         "epoch": rebuilt.epoch,
                         "fingerprint": rebuilt.rules_fingerprint}
+            return {"rows_rerepaired": len(outcome.affected),
+                    "epoch": outcome.epoch,
+                    "corrections": outcome.corrections,
+                    "reverts": outcome.reverts,
+                    "fingerprint": session.rules_fingerprint}
 
     async def _handle_check(self, request: Request):
         if request.body:

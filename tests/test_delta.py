@@ -4,7 +4,8 @@ Covers the session lifecycle (row deltas, Σ deltas, reads), the
 auditable correction log (JSONL replay, integrity cross-checks), the
 snapshot → validate → apply → audit staging, the incremental == full
 re-repair property (both directed cases and a Hypothesis property over
-random operation interleavings), the delta-aware streaming adapter,
+random operation interleavings), the work a HOSP delta does counted
+row by row, the delta-aware streaming adapter,
 the ``repro delta`` / ``repro audit`` commands, the columnar
 auto-threshold override (env var + CLI flag), the columnar bulk load
 over counting rules, and the ``ConsistentRuleSet``
@@ -374,6 +375,51 @@ class TestIncrementalEqualsFull:
             session.log.records())
         assert report["mismatch_count"] == 0
         assert rows == {rid: values for rid, values in session.items()}
+
+
+# -- a delta's work, counted -------------------------------------------------
+
+class TestSlicedWork:
+    """On the Section 7 HOSP workload (seed 7, 8% noise, seed rules made
+    consistent) a delta re-repairs its slice and no other row: the
+    count behind the incremental-vs-full speedup, with no timer in it."""
+
+    def test_hosp_deltas_rerepair_only_their_slice(self):
+        from repro.core import engine_stats
+        from repro.datagen import (constraint_attributes, generate_hosp,
+                                   hosp_fds, inject_noise)
+        from repro.rulegen.seeds import generate_seed_rules
+        clean = generate_hosp(rows=2_000, seed=7)
+        table = inject_noise(clean, constraint_attributes(hosp_fds()),
+                             noise_rate=0.08, typo_ratio=0.5,
+                             seed=7).table
+        seeds = generate_seed_rules(clean, table, hosp_fds()).rules()
+        rules = ensure_consistent(RuleSet(clean.schema, seeds),
+                                  strategy=DROP_CONFLICTING).rules
+        session = DeltaRepairSession.from_table(table, rules,
+                                                check_consistency=True)
+        rng = random.Random(7)
+        upserts = [(str(i), list(table[rng.randrange(len(table))].values))
+                   for i in rng.sample(range(len(table)), len(table) // 100)]
+        before = engine_stats()["rows_repaired"]
+        outcome = session.apply_rows(upserts=upserts)
+        assert engine_stats()["rows_repaired"] - before == len(upserts) \
+            == 20
+        assert sorted(outcome.affected) == sorted(rid for rid, _ in upserts)
+        assert session.self_check() == []
+
+        by_rule = session.generate_audit_report()["applications_by_rule"]
+        hot = session.rules().by_name(next(iter(by_rule)))
+        applied = {rid for rid in session.row_ids()
+                   if any(fix.rule.signature() == hot.signature()
+                          for fix in session.row_result(rid).applied)}
+        assert len(applied) == by_rule[hot.name] > 1
+        before = engine_stats()["rows_repaired"]
+        outcome = session.apply_rules(removed=[hot])
+        assert set(outcome.affected) == applied
+        assert engine_stats()["rows_repaired"] - before == len(applied)
+        assert session.self_check() == []
+        session.close()
 
 
 # -- delta-aware streaming ---------------------------------------------------

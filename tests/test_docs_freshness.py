@@ -91,11 +91,11 @@ class TestApiReference:
         ("repro.durability", ["StateStore", "RecoveryManager",
                               "verify_state_dir", "reduce_record",
                               "scan_wal", "read_wal", "encode_frame",
-                              "TornTail", "scan_jsonl_tail",
-                              "truncate_torn_jsonl",
+                              "TornTail", "rehydrate_session",
                               "DiskFaultInjector", "FAULT_POINTS",
                               "FAULT_KINDS", "CrashPoint",
-                              "durable_write", "durable_fsync",
+                              "durable_write", "durable_append",
+                              "durable_fsync",
                               "durable_replace", "fsync_dir",
                               "atomic_replace_bytes"]),
         ("repro.dependencies", ["FD", "CFD", "MD", "discover_fds",

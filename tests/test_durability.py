@@ -42,13 +42,16 @@ from repro.core.serialization import ruleset_to_json
 from repro.durability import (CrashPoint, DiskFaultInjector, FAULT_KINDS,
                               FAULT_POINTS, RecoveryManager, StateStore,
                               TornTail, atomic_replace_bytes, encode_frame,
-                              read_wal, scan_wal, truncate_torn_jsonl,
+                              read_wal, rehydrate_session, scan_wal,
                               verify_state_dir)
 from repro.errors import CheckpointError, DurabilityError
 from repro.serve import RepairServer, ServeConfig, ServerThread
 from repro.serve.registry import RulesetRegistry, RulesetRejected
 
 TRAVEL = Schema("Travel", ["name", "country", "capital", "city", "conf"])
+IAN = ["Ian", "China", "Shanghai", "Hongkong", "ICDE"]
+MIKE = ["Mike", "Canada", "Toronto", "Toronto", "VLDB"]
+ANN = ["Ann", "China", "Hongkong", "Paris", "VLDB"]
 
 
 def travel_rules():
@@ -528,11 +531,40 @@ class TestCorrectionLogTornTail:
         clean = log_path.read_bytes()
         with open(log_path, "ab") as fh:
             fh.write(b'{"torn')
-        dropped = truncate_torn_jsonl(log_path)
-        assert dropped["dropped_bytes"] == 6
-        assert log_path.read_bytes() == clean
-        assert truncate_torn_jsonl(log_path) is None
-        assert truncate_torn_jsonl(tmp_path / "missing.jsonl") is None
+        # a dry run reports the torn tail and leaves the file alone
+        _, info = rehydrate_session(travel_rules(), str(log_path), "s",
+                                    dry_run=True)
+        assert info["torn_tail"]["dropped_bytes"] == 6
+        assert log_path.read_bytes() == clean + b'{"torn'
+        # a live rebuild cuts at the reader's offset, then appends its
+        # own begin record behind the clean prefix
+        session, info = rehydrate_session(travel_rules(), str(log_path),
+                                          "s")
+        session.close()
+        assert info["torn_tail"]["dropped_bytes"] == 6
+        assert log_path.read_bytes().startswith(clean)
+        records, torn = load_log_records(str(log_path))
+        assert torn is None
+        assert records[-1]["op"] == "begin"
+        assert session.row("1")[2] == "Beijing"
+
+    def test_refused_batch_leaves_log_replayable(self, tmp_path):
+        log_path = tmp_path / "log.jsonl"
+        session = DeltaRepairSession(travel_rules(), log_path=log_path,
+                                     durable=True)
+        session.apply_rows(upserts=[("1", IAN)])
+        injector = DiskFaultInjector()
+        injector.plan("correction_log.append", "short_write")
+        with injector.installed():
+            with pytest.raises(OSError):
+                session.apply_rows(upserts=[("2", MIKE)])
+        session.apply_rows(upserts=[("3", ANN)])
+        session.close()
+        assert audit_correction_log(str(log_path))["ok"]
+        _, rows, report = replay_correction_log(str(log_path))
+        assert report["torn_tail"] is None
+        assert sorted(rows) == ["1", "3"]
+        assert rows["1"][2] == rows["3"][2] == "Beijing"
 
     def test_correction_log_append_fault_not_acknowledged(self, tmp_path):
         session = DeltaRepairSession(travel_rules(),
@@ -550,28 +582,34 @@ class TestCorrectionLogTornTail:
 
 # -- RecoveryManager ----------------------------------------------------------
 
-def build_state_dir(tmp_path, *, torn_log=False, rows=3):
-    """A state dir + spool as a killed daemon would leave them."""
-    state_dir = tmp_path / "state"
-    spool = str(state_dir / "spool")
-    store = StateStore(state_dir)
-    registry = RulesetRegistry(spool, state_store=store)
-    entry = registry.upload("default", rules_json())
-    log_path = os.path.join(spool, "delta-default.corrections.jsonl")
+def log_delta_session(store, registry, tenant, rows):
+    """Open *tenant*'s delta session as the daemon does and acknowledge
+    *rows* one-row batches; returns the session (still open)."""
+    entry = registry.upload(tenant, rules_json())
+    log_path = os.path.join(registry.spool_dir,
+                            "delta-%s.corrections.jsonl" % tenant)
     session = DeltaRepairSession(entry.ruleset, log_path=log_path,
                                  check_consistency=False, durable=True)
-    store.append("delta_open", tenant="default",
+    store.append("delta_open", tenant=tenant,
                  session_id=session.session_id, log_path=log_path,
                  fingerprint=entry.fingerprint)
     for i in range(rows):
-        session.apply_rows(upserts=[
-            (str(i), ["Ian", "China", "Shanghai", "Hongkong", "ICDE"])])
+        session.apply_rows(upserts=[(str(i), IAN)])
+    return session
+
+
+def build_state_dir(tmp_path, *, torn_log=False, rows=3):
+    """A state dir + spool as a killed daemon would leave them."""
+    state_dir = tmp_path / "state"
+    store = StateStore(state_dir)
+    registry = RulesetRegistry(str(state_dir / "spool"), state_store=store)
+    session = log_delta_session(store, registry, "default", rows)
     expected = {rid: session.row(rid) for rid in session.row_ids()}
     session_id, epoch = session.session_id, session.epoch
     session.close()
     store.close()
     if torn_log:
-        with open(log_path, "ab") as fh:
+        with open(session.log.path, "ab") as fh:
             fh.write(TORN_LOG_TAIL)
     return state_dir, expected, session_id, epoch
 
@@ -622,6 +660,32 @@ class TestRecoveryManager:
         assert not report["ok"]
         assert any("missing" in p for p in report["problems"])
         assert "default" in registry      # the tenant itself recovered
+
+    def test_corrupt_log_fails_only_its_tenant(self, tmp_path):
+        state_dir = tmp_path / "state"
+        store = StateStore(state_dir)
+        registry = RulesetRegistry(str(state_dir / "spool"),
+                                   state_store=store)
+        logs, expected = {}, {}
+        for tenant in ("a", "b"):
+            session = log_delta_session(store, registry, tenant, 3)
+            logs[tenant] = session.log.path
+            expected[tenant] = dict(session.items())
+            session.close()
+        store.close()
+        lines = logs["a"].read_bytes().splitlines(keepends=True)
+        lines[1] = b'{"op": brokenbroken\n'
+        logs["a"].write_bytes(b"".join(lines))
+        sessions = {}
+        with StateStore(state_dir) as recovered:
+            report = RecoveryManager(recovered).rebuild(
+                RulesetRegistry(str(tmp_path / "spool2")), sessions)
+        assert not report["ok"]
+        assert [p for p in report["problems"] if "'a'" in p]
+        assert not [p for p in report["problems"] if "'b'" in p]
+        assert "a" not in sessions
+        assert dict(sessions["b"].items()) == expected["b"]
+        sessions["b"].close()
 
     def test_verify_state_dir_is_read_only(self, tmp_path):
         state_dir, _, _, _ = build_state_dir(tmp_path, torn_log=True)
@@ -803,6 +867,91 @@ class TestServeRestart:
                 == fingerprint
         finally:
             thread2.stop()
+
+
+    def test_refused_delta_batch_not_served_nor_recovered(self, tmp_path):
+        config = ServeConfig(port=0, state_dir=str(tmp_path / "state"))
+        delta = "/repair/delta?tenant=default"
+        thread = ServerThread(config).start()
+        try:
+            request(thread.port, "POST", "/rulesets/default",
+                    body=rules_json())
+            status, _, _ = request(thread.port, "POST", delta, body={
+                "upserts": [{"id": "1", "values": IAN}]})
+            assert status == 200
+            injector = DiskFaultInjector()
+            injector.plan("correction_log.append", "short_write")
+            with injector.installed():
+                status, _, body = request(thread.port, "POST", delta, body={
+                    "upserts": [{"id": "2", "values": MIKE}]})
+            assert status == 503, body
+            status, _, audit = request(thread.port, "GET", delta + "&rows=1")
+            assert status == 200
+            assert sorted(audit["rows_data"]) == ["1"]
+            status, _, _ = request(thread.port, "POST", delta, body={
+                "upserts": [{"id": "3", "values": ANN}]})
+            assert status == 200
+        finally:
+            thread.stop()
+
+        thread2 = ServerThread(config).start()
+        try:
+            ready = wait_ready(thread2.port)[-1][1]
+            assert ready["recovered"]["ok"], \
+                thread2.server.recovery_report["problems"]
+            status, _, audit = request(thread2.port, "GET",
+                                       delta + "&rows=1")
+            assert status == 200
+            assert sorted(audit["rows_data"]) == ["1", "3"]
+            assert audit["rows_data"]["3"][2] == "Beijing"
+        finally:
+            thread2.stop()
+
+    def test_failed_sigma_sync_rebuilds_from_log(self, tmp_path):
+        state_dir = tmp_path / "state"
+        config = ServeConfig(port=0, state_dir=str(state_dir))
+        delta = "/repair/delta?tenant=default"
+        thread = ServerThread(config).start()
+        try:
+            request(thread.port, "POST", "/rulesets/default",
+                    body=rules_json())
+            status, _, _ = request(thread.port, "POST", delta, body={
+                "upserts": [{"id": "1", "values": IAN},
+                            {"id": "2", "values": MIKE}]})
+            assert status == 200
+            _, _, before = request(thread.port, "GET", delta)
+            # dropping phi1 reverts row 1, but its records hit a full disk
+            smaller = RuleSet(TRAVEL, [FixingRule(
+                {"country": "Canada"}, "capital", {"Toronto"}, "Ottawa",
+                name="phi2")])
+            injector = DiskFaultInjector()
+            injector.plan("correction_log.append", "enospc")
+            with injector.installed():
+                status, _, body = request(thread.port, "POST",
+                                          "/rulesets/default",
+                                          body=ruleset_to_json(smaller))
+            assert status == 200, body
+            assert body["delta"]["rebuilt"] is True
+            _, _, audit = request(thread.port, "GET", delta + "&rows=1")
+            assert audit["session"] == before["session"]
+            assert audit["rules_fingerprint"] \
+                == body["installed"]["fingerprint"]
+            session = thread.server._delta_sessions["default"]
+            assert session.self_check() == []
+            expected, _ = rehydrate_session(
+                thread.server.registry.get("default").ruleset,
+                audit["log_path"], audit["session"], dry_run=True)
+            assert audit["rows_data"] == dict(expected.items())
+            assert audit["rows_data"]["1"] == IAN
+            # the log still replays to the session after the next swap
+            status, _, _ = request(thread.port, "POST", "/rulesets/default",
+                                   body=rules_json())
+            assert status == 200
+            assert audit_correction_log(audit["log_path"])["ok"]
+        finally:
+            thread.stop()
+        records, _, _ = read_wal(str(state_dir / "wal.log"))
+        assert [r["op"] for r in records].count("delta_open") == 1
 
 
 SERVE_ENV_SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir,
